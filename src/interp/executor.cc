@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "interp/constants.h"
 #include "interp/image.h"
 #include "interp/value.h"
 #include "interp/worker_pool.h"
@@ -27,6 +26,8 @@ using lang::ArithmeticResultType;
 using lang::AssignExpr;
 using lang::BinaryExpr;
 using lang::BinaryOp;
+using lang::BuiltinRef;
+using Op = lang::BuiltinOp;
 using lang::CallExpr;
 using lang::CastExpr;
 using lang::CompoundStmt;
@@ -751,8 +752,8 @@ class Evaluator {
       }
       return Err("unbound variable '" + r.name + "'");
     }
-    // CUDA built-in index variables.
-    if (r.is_builtin) {
+    // CUDA built-in index variables and named constants.
+    if (r.builtin) {
       auto vec3 = [&](const Dim3& d) {
         std::vector<ScalarVal> c(3);
         c[0].u = d.x;
@@ -761,15 +762,18 @@ class Evaluator {
         return Value::Vector(Type::Vector(ScalarKind::kUInt, 3),
                              std::move(c));
       };
-      if (r.name == "threadIdx") return vec3(lid_);
-      if (r.name == "blockIdx") return vec3(L_.group_id);
-      if (r.name == "blockDim") return vec3(L_.cfg.block);
-      if (r.name == "gridDim") return vec3(L_.cfg.grid);
-      if (r.name == "warpSize")
-        return Value::Int(L_.device->profile().warp_size);
-      if (auto c = NamedConstantValue(r.name))
-        return Value::UInt(*c);
-      return Err("unknown builtin constant '" + r.name + "'");
+      switch (r.builtin.op()) {
+        case Op::kThreadIdx: return vec3(lid_);
+        case Op::kBlockIdx: return vec3(L_.group_id);
+        case Op::kBlockDim: return vec3(L_.cfg.block);
+        case Op::kGridDim: return vec3(L_.cfg.grid);
+        case Op::kWarpSize:
+          return Value::Int(L_.device->profile().warp_size);
+        case Op::kConstant:
+          return Value::UInt(r.builtin.info->value);
+        default:
+          return Err("unknown builtin constant '" + r.name + "'");
+      }
     }
     // Texture reference.
     if (L_.module->FindTextureRef(r.name) != nullptr) {
@@ -1087,14 +1091,14 @@ class Evaluator {
 
   // -- calls ---------------------------------------------------------------
   StatusOr<Value> EvalCall(const CallExpr& c) {
-    std::string name = c.callee_name();
     const DeclRefExpr* ref =
         c.callee->kind == ExprKind::kDeclRef ? c.callee->As<DeclRefExpr>()
                                              : nullptr;
     if (ref != nullptr && ref->function != nullptr && ref->function->body) {
       return CallFunction(ref->function, c);
     }
-    return CallBuiltin(name, c);
+    if (ref != nullptr && ref->builtin) return CallBuiltin(ref->builtin, c);
+    return Err("call to undefined function '" + c.callee_name() + "'");
   }
 
   StatusOr<Value> CallFunction(const FunctionDecl* fn, const CallExpr& c) {
@@ -1137,11 +1141,67 @@ class Evaluator {
   }
 
   // ---- builtin implementations ----
-  StatusOr<Value> CallBuiltin(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalImageRead(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalImageWrite(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalTexFetch(const std::string& name, const CallExpr& c);
-  StatusOr<Value> EvalAtomic(const std::string& name, const CallExpr& c);
+  StatusOr<std::vector<Value>> EvalArgs(const CallExpr& c) {
+    std::vector<Value> args;
+    args.reserve(c.args.size());
+    for (const auto& a : c.args) {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*a));
+      args.push_back(std::move(v));
+    }
+    return args;
+  }
+
+  /// Elementwise unary math: float if the spelling is single-precision or
+  /// the argument is float, double otherwise.
+  StatusOr<Value> Math1(const BuiltinRef& b, const CallExpr& c,
+                        double (*fn)(double)) {
+    BRIDGECL_ASSIGN_OR_RETURN(Value a, Eval(*c.args[0]));
+    cycles_ += L_.device->profile().cost_math;
+    bool is_float_res =
+        b.info->float_result ||
+        (a.type() && (a.type()->is_vector() || a.type()->is_scalar()) &&
+         a.type()->scalar_kind() == ScalarKind::kFloat);
+    ScalarKind k = is_float_res ? ScalarKind::kFloat : ScalarKind::kDouble;
+    if (a.is_vector()) {
+      for (auto& cmp : a.comps()) {
+        double x = IsFloatScalar(a.type()->scalar_kind())
+                       ? cmp.f
+                       : static_cast<double>(cmp.i);
+        cmp.f = k == ScalarKind::kFloat ? static_cast<float>(fn(x)) : fn(x);
+      }
+      a.set_type(Type::Vector(k, a.type()->vector_width()));
+      return a;
+    }
+    return Value::Float(fn(a.AsF64()), k);
+  }
+
+  /// Elementwise binary math (a scalar second argument broadcasts).
+  StatusOr<Value> Math2(const BuiltinRef& b, const CallExpr& c,
+                        double (*fn)(double, double)) {
+    BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+    cycles_ += L_.device->profile().cost_math;
+    const Value& x = args[0];
+    const Value& y = args[1];
+    bool use_float =
+        b.info->float_result ||
+        (x.type() && x.type()->scalar_kind() == ScalarKind::kFloat);
+    ScalarKind k = use_float ? ScalarKind::kFloat : ScalarKind::kDouble;
+    if (x.is_vector()) {
+      int w = x.type()->vector_width();
+      Value yy = y.ConvertTo(Type::Vector(k, w));
+      Value out = x.ConvertTo(Type::Vector(k, w));
+      for (int i = 0; i < w; ++i)
+        out.comps()[i].f = fn(out.comps()[i].f, yy.comps()[i].f);
+      return out;
+    }
+    return Value::Float(fn(x.AsF64(), y.AsF64()), k);
+  }
+
+  StatusOr<Value> CallBuiltin(const BuiltinRef& b, const CallExpr& c);
+  StatusOr<Value> EvalImageRead(const CallExpr& c, ScalarKind out_kind);
+  StatusOr<Value> EvalImageWrite(const CallExpr& c);
+  StatusOr<Value> EvalTexFetch(const CallExpr& c);
+  StatusOr<Value> EvalAtomic(Op op, const CallExpr& c);
   StatusOr<ImageDesc> LoadImageDesc(uint64_t va);
   StatusOr<Value> ReadTexel(const ImageDesc& d, int x, int y, int z,
                             ScalarKind out_kind);
@@ -1198,9 +1258,8 @@ StatusOr<Value> Evaluator::ReadTexel(const ImageDesc& d, int x, int y, int z,
   return Value::Vector(Type::Vector(out_kind, 4), std::move(comps));
 }
 
-StatusOr<Value> Evaluator::EvalImageRead(const std::string& name,
-                                         const CallExpr& c) {
-  if (c.args.size() < 2) return Err(name + ": too few arguments");
+StatusOr<Value> Evaluator::EvalImageRead(const CallExpr& c,
+                                         ScalarKind out_kind) {
   BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
   BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
   uint32_t sampler_bits = d.sampler_bits;
@@ -1209,9 +1268,6 @@ StatusOr<Value> Evaluator::EvalImageRead(const std::string& name,
     BRIDGECL_ASSIGN_OR_RETURN(Value s, Eval(*c.args[1]));
     sampler_bits = static_cast<uint32_t>(s.AsU64());
   }
-  ScalarKind out_kind = name == "read_imagef"   ? ScalarKind::kFloat
-                        : name == "read_imagei" ? ScalarKind::kInt
-                                                : ScalarKind::kUInt;
   BRIDGECL_ASSIGN_OR_RETURN(Value coord, Eval(*coord_expr));
   bool float_coords =
       coord.type() && IsFloatScalar(coord.type()->scalar_kind());
@@ -1257,9 +1313,7 @@ StatusOr<Value> Evaluator::EvalImageRead(const std::string& name,
                    static_cast<int>(fz), out_kind);
 }
 
-StatusOr<Value> Evaluator::EvalImageWrite(const std::string& name,
-                                          const CallExpr& c) {
-  if (c.args.size() != 3) return Err(name + ": expected 3 arguments");
+StatusOr<Value> Evaluator::EvalImageWrite(const CallExpr& c) {
   BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
   BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
   BRIDGECL_ASSIGN_OR_RETURN(Value coord, Eval(*c.args[1]));
@@ -1295,9 +1349,7 @@ StatusOr<Value> Evaluator::EvalImageWrite(const std::string& name,
   return Value::Void();
 }
 
-StatusOr<Value> Evaluator::EvalTexFetch(const std::string& name,
-                                        const CallExpr& c) {
-  if (c.args.size() < 2) return Err(name + ": too few arguments");
+StatusOr<Value> Evaluator::EvalTexFetch(const CallExpr& c) {
   BRIDGECL_ASSIGN_OR_RETURN(Value tex, Eval(*c.args[0]));
   BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(tex.AsVa()));
   Type::Ptr tex_t = c.args[0]->type;
@@ -1333,9 +1385,7 @@ StatusOr<Value> Evaluator::EvalTexFetch(const std::string& name,
   return Value::Vector(Type::Vector(out_kind, out_width), std::move(comps));
 }
 
-StatusOr<Value> Evaluator::EvalAtomic(const std::string& name,
-                                      const CallExpr& c) {
-  if (c.args.empty()) return Err(name + ": missing pointer argument");
+StatusOr<Value> Evaluator::EvalAtomic(Op op, const CallExpr& c) {
   BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[0]));
   Type::Ptr elem = ptr.type() && ptr.type()->is_pointer()
                        ? ptr.type()->pointee()
@@ -1351,451 +1401,370 @@ StatusOr<Value> Evaluator::EvalAtomic(const std::string& name,
   }
   Value next = old;
   bool flt = elem->is_float();
-  // OpenCL atomic_inc/atomic_dec: unconditional +-1 (no operand).
-  // CUDA atomicInc/atomicDec: wrap semantics against args[1] (§3.7).
-  if (name == "atomic_inc" || name == "atom_inc") {
-    next = Value::Int(old.AsI64() + 1, elem->scalar_kind());
-  } else if (name == "atomic_dec" || name == "atom_dec") {
-    next = Value::Int(old.AsI64() - 1, elem->scalar_kind());
-  } else if (name == "atomicInc") {
-    uint64_t limit = operand.AsU64();
-    next = Value::UInt(old.AsU64() >= limit ? 0 : old.AsU64() + 1,
-                       elem->scalar_kind());
-  } else if (name == "atomicDec") {
-    uint64_t limit = operand.AsU64();
-    uint64_t ov = old.AsU64();
-    next = Value::UInt((ov == 0 || ov > limit) ? limit : ov - 1,
-                       elem->scalar_kind());
-  } else if (name == "atomic_add" || name == "atomicAdd" ||
-             name == "atom_add") {
-    next = flt ? Value::Float(old.AsF64() + operand.AsF64(),
-                              elem->scalar_kind())
-               : Value::Int(old.AsI64() + operand.AsI64(),
-                            elem->scalar_kind());
-  } else if (name == "atomic_sub" || name == "atomicSub") {
-    next = Value::Int(old.AsI64() - operand.AsI64(), elem->scalar_kind());
-  } else if (name == "atomic_xchg" || name == "atomicExch") {
-    next = operand;
-  } else if (name == "atomic_min" || name == "atomicMin") {
-    bool less = IsSignedScalar(elem->scalar_kind())
-                    ? operand.AsI64() < old.AsI64()
-                    : operand.AsU64() < old.AsU64();
-    if (flt) less = operand.AsF64() < old.AsF64();
-    next = less ? operand : old;
-  } else if (name == "atomic_max" || name == "atomicMax") {
-    bool greater = IsSignedScalar(elem->scalar_kind())
-                       ? operand.AsI64() > old.AsI64()
-                       : operand.AsU64() > old.AsU64();
-    if (flt) greater = operand.AsF64() > old.AsF64();
-    next = greater ? operand : old;
-  } else if (name == "atomic_and" || name == "atomicAnd") {
-    next = Value::UInt(old.AsU64() & operand.AsU64(), elem->scalar_kind());
-  } else if (name == "atomic_or" || name == "atomicOr") {
-    next = Value::UInt(old.AsU64() | operand.AsU64(), elem->scalar_kind());
-  } else if (name == "atomic_xor" || name == "atomicXor") {
-    next = Value::UInt(old.AsU64() ^ operand.AsU64(), elem->scalar_kind());
-  } else if (name == "atomic_cmpxchg" || name == "atomicCAS") {
-    if (c.args.size() != 3) return Err(name + ": expected 3 arguments");
-    BRIDGECL_ASSIGN_OR_RETURN(Value desired, Eval(*c.args[2]));
-    if (old.AsU64() == operand.AsU64()) {
-      next = desired.ConvertTo(elem);
+  ScalarKind k = elem->scalar_kind();
+  uint64_t ou = old.AsU64(), vu = operand.AsU64();
+  switch (op) {
+    // OpenCL atomic_inc/atomic_dec: unconditional +-1 (no operand).
+    case Op::kAtomicInc: next = Value::Int(old.AsI64() + 1, k); break;
+    case Op::kAtomicDec: next = Value::Int(old.AsI64() - 1, k); break;
+    // CUDA atomicInc/atomicDec: wrap semantics against args[1] (§3.7).
+    case Op::kAtomicIncWrap:
+      next = Value::UInt(ou >= vu ? 0 : ou + 1, k);
+      break;
+    case Op::kAtomicDecWrap:
+      next = Value::UInt((ou == 0 || ou > vu) ? vu : ou - 1, k);
+      break;
+    case Op::kAtomicAdd:
+      next = flt ? Value::Float(old.AsF64() + operand.AsF64(), k)
+                 : Value::Int(old.AsI64() + operand.AsI64(), k);
+      break;
+    case Op::kAtomicSub:
+      next = Value::Int(old.AsI64() - operand.AsI64(), k);
+      break;
+    case Op::kAtomicXchg: next = operand; break;
+    case Op::kAtomicMin:
+    case Op::kAtomicMax: {
+      bool less = flt                  ? operand.AsF64() < old.AsF64()
+                  : IsSignedScalar(k) ? operand.AsI64() < old.AsI64()
+                                      : vu < ou;
+      bool greater = flt                  ? operand.AsF64() > old.AsF64()
+                     : IsSignedScalar(k) ? operand.AsI64() > old.AsI64()
+                                         : vu > ou;
+      next = (op == Op::kAtomicMin ? less : greater) ? operand : old;
+      break;
     }
-  } else {
-    return Err("unhandled atomic builtin '" + name + "'");
+    case Op::kAtomicAnd: next = Value::UInt(ou & vu, k); break;
+    case Op::kAtomicOr: next = Value::UInt(ou | vu, k); break;
+    case Op::kAtomicXor: next = Value::UInt(ou ^ vu, k); break;
+    case Op::kAtomicCmpxchg: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value desired, Eval(*c.args[2]));
+      if (ou == vu) next = desired.ConvertTo(elem);
+      break;
+    }
+    default:
+      return Err("not an atomic builtin");
   }
   BRIDGECL_RETURN_IF_ERROR(StoreMem(va, next.ConvertTo(elem)));
   return old;
 }
 
-StatusOr<Value> Evaluator::CallBuiltin(const std::string& raw_name,
+StatusOr<Value> Evaluator::CallBuiltin(const BuiltinRef& b,
                                        const CallExpr& c) {
-  // Device-side wrapper-library functions (__oc2cu_*) behave exactly like
-  // the OpenCL builtin they wrap (Â§5).
-  const std::string name =
-      StartsWith(raw_name, "__oc2cu_") ? raw_name.substr(8) : raw_name;
   const auto& prof = L_.device->profile();
-
-  // ---- work-item functions (OpenCL) ----
-  auto dim_arg = [&]() -> StatusOr<int> {
-    if (c.args.empty()) return 0;
-    BRIDGECL_ASSIGN_OR_RETURN(Value d, Eval(*c.args[0]));
-    return static_cast<int>(d.AsI64());
-  };
-  if (name == "get_global_id") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(gid_[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_local_id") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(lid_[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_group_id") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(L_.group_id[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_global_size") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(
-        static_cast<uint64_t>(L_.cfg.grid[d]) * L_.cfg.block[d],
-        ScalarKind::kSizeT);
-  }
-  if (name == "get_local_size") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(L_.cfg.block[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_num_groups") {
-    BRIDGECL_ASSIGN_OR_RETURN(int d, dim_arg());
-    return Value::UInt(L_.cfg.grid[d], ScalarKind::kSizeT);
-  }
-  if (name == "get_work_dim") return Value::UInt(3);
-  if (name == "get_global_offset") return Value::UInt(0, ScalarKind::kSizeT);
-
-  // ---- synchronization ----
-  if (name == "barrier" || name == "__syncthreads") {
-    for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-    ++L_.stats->barriers;
-    cycles_ += prof.cost_barrier;
-    L_.group->Barrier();
-    return Value::Void();
-  }
-  if (name == "mem_fence" || name == "read_mem_fence" ||
-      name == "write_mem_fence" || name == "__threadfence" ||
-      name == "__threadfence_block") {
-    for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-    cycles_ += prof.cost_alu;
-    return Value::Void();
-  }
-
-  // ---- images / textures ----
-  if (StartsWith(name, "read_image")) return EvalImageRead(name, c);
-  if (StartsWith(name, "write_image")) return EvalImageWrite(name, c);
-  if (StartsWith(name, "tex")) return EvalTexFetch(name, c);
-  if (name == "get_image_width" || name == "get_image_height") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
-    BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
-    return Value::Int(name == "get_image_width" ? d.width : d.height);
-  }
-
-  // ---- atomics ----
-  if (StartsWith(name, "atomic_") || StartsWith(name, "atom_") ||
-      StartsWith(name, "atomic"))
-    return EvalAtomic(name, c);
-
-  // ---- vector family ----
-  if (StartsWith(name, "make_")) {
-    ScalarKind ek;
-    int w;
-    if (!lang::ParseVectorTypeName(name.substr(5), &ek, &w))
-      return Err("bad make_* builtin '" + name + "'");
-    std::vector<ScalarVal> comps(w);
-    for (int i = 0; i < w && i < static_cast<int>(c.args.size()); ++i) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
-      comps[i] = v.ConvertTo(Type::Scalar(ek)).scalar();
-    }
-    ChargeOp(prof.cost_alu);
-    return Value::Vector(Type::Vector(ek, w), std::move(comps));
-  }
-  if (StartsWith(name, "convert_")) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ScalarKind ek;
-    int w;
-    std::string rest = name.substr(8);
-    ChargeOp(prof.cost_alu);
-    if (lang::ParseVectorTypeName(rest, &ek, &w))
-      return v.ConvertTo(Type::Vector(ek, w));
-    // Scalar convert_T.
-    for (ScalarKind k :
-         {ScalarKind::kChar, ScalarKind::kUChar, ScalarKind::kShort,
-          ScalarKind::kUShort, ScalarKind::kInt, ScalarKind::kUInt,
-          ScalarKind::kLong, ScalarKind::kULong, ScalarKind::kFloat,
-          ScalarKind::kDouble}) {
-      if (rest == lang::ScalarName(k)) return v.ConvertTo(Type::Scalar(k));
-    }
-    return Err("bad convert_* builtin '" + name + "'");
-  }
-  if (StartsWith(name, "as_")) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ScalarKind ek;
-    int w;
-    std::string rest = name.substr(3);
-    if (lang::ParseVectorTypeName(rest, &ek, &w))
-      return v.BitcastTo(Type::Vector(ek, w));
-    for (ScalarKind k :
-         {ScalarKind::kInt, ScalarKind::kUInt, ScalarKind::kFloat,
-          ScalarKind::kLong, ScalarKind::kULong, ScalarKind::kDouble}) {
-      if (rest == lang::ScalarName(k)) return v.BitcastTo(Type::Scalar(k));
-    }
-    return Err("bad as_* builtin '" + name + "'");
-  }
-  if (StartsWith(name, "vload")) {
-    int w = std::atoi(name.c_str() + 5);
-    BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[0]));
-    BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[1]));
-    Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
-                                              : Type::FloatTy();
-    Type::Ptr vt = Type::Vector(elem->scalar_kind(), w);
-    uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
-    // vload reads w packed elements (no vec3 padding).
-    std::vector<ScalarVal> comps(w);
-    for (int i = 0; i < w; ++i) {
-      BRIDGECL_ASSIGN_OR_RETURN(Value v,
-                                LoadMem(va + i * elem->ByteSize(), elem));
-      comps[i] = v.scalar();
-    }
-    return Value::Vector(vt, std::move(comps));
-  }
-  if (StartsWith(name, "vstore")) {
-    int w = std::atoi(name.c_str() + 6);
-    BRIDGECL_ASSIGN_OR_RETURN(Value data, Eval(*c.args[0]));
-    BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[1]));
-    BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[2]));
-    Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
-                                              : Type::FloatTy();
-    uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
-    for (int i = 0; i < w; ++i) {
-      BRIDGECL_RETURN_IF_ERROR(StoreMem(
-          va + i * elem->ByteSize(), data.Component(i).ConvertTo(elem)));
-    }
-    return Value::Void();
-  }
-
-  // ---- warp-level CUDA built-ins: degenerate single-lane semantics.
-  // These exist so that mcuda can *run* CUDA-only samples natively; the
-  // CU→CL translator rejects them (§3.7 / Table 3).
-  if (name == "__shfl" || name == "__shfl_up" || name == "__shfl_down" ||
-      name == "__shfl_xor") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    for (size_t i = 1; i < c.args.size(); ++i)
-      BRIDGECL_RETURN_IF_ERROR(Eval(*c.args[i]).status());
-    ChargeOp(prof.cost_alu);
-    return v;
-  }
-  if (name == "__all" || name == "__any") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ChargeOp(prof.cost_alu);
-    return Value::Int(v.AsBool() ? 1 : 0);
-  }
-  if (name == "__ballot") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    ChargeOp(prof.cost_alu);
-    return Value::UInt(v.AsBool() ? 1u : 0u);
-  }
-  if (name == "clock")
-    return Value::Int(static_cast<int64_t>(cycles_));
-  if (name == "clock64")
-    return Value::Int(static_cast<int64_t>(cycles_), ScalarKind::kLongLong);
-  if (name == "assert") {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
-    if (!v.AsBool()) return Err("device-side assert failed");
-    return Value::Void();
-  }
-  if (name == "printf") {
-    // Arguments are evaluated for side effects; output is suppressed in
-    // the simulator (matches running with stdout redirected).
-    for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
-    return Value::Int(0);
-  }
-
-  // ---- math & integer builtins (elementwise over vectors) ----
-  std::vector<Value> args;
-  args.reserve(c.args.size());
-  for (const auto& a : c.args) {
-    BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*a));
-    args.push_back(std::move(v));
-  }
-  auto math1 = [&](double (*fn)(double)) -> StatusOr<Value> {
-    cycles_ += prof.cost_math;
-    const Value& a = args[0];
-    bool is_float_res =
-        (name.back() == 'f' && L_.dialect == Dialect::kCUDA) ||
-        (a.type() && (a.type()->is_vector() || a.type()->is_scalar()) &&
-         a.type()->scalar_kind() == ScalarKind::kFloat);
-    ScalarKind k = is_float_res ? ScalarKind::kFloat : ScalarKind::kDouble;
-    if (a.is_vector()) {
-      Value out = a;
-      for (auto& cmp : out.comps()) {
-        double x = IsFloatScalar(a.type()->scalar_kind())
-                       ? cmp.f
-                       : static_cast<double>(cmp.i);
-        cmp.f = k == ScalarKind::kFloat ? static_cast<float>(fn(x)) : fn(x);
+  switch (b.op()) {
+    // ---- work-item functions (OpenCL). OpenCL 1.2 §6.12.1: a dimindx
+    // outside [0, get_work_dim()) reads as id 0 / size 1.
+    case Op::kGlobalId:
+    case Op::kLocalId:
+    case Op::kGroupId:
+    case Op::kGlobalSize:
+    case Op::kLocalSize:
+    case Op::kNumGroups: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value dv, Eval(*c.args[0]));
+      int64_t d = dv.AsI64();
+      const Dim3& grid = L_.cfg.grid;
+      const Dim3& block = L_.cfg.block;
+      uint64_t v;
+      switch (b.op()) {
+        case Op::kGlobalId: v = d < 0 || d > 2 ? 0 : gid_[d]; break;
+        case Op::kLocalId: v = d < 0 || d > 2 ? 0 : lid_[d]; break;
+        case Op::kGroupId: v = d < 0 || d > 2 ? 0 : L_.group_id[d]; break;
+        case Op::kGlobalSize:
+          v = d < 0 || d > 2 ? 1 : uint64_t{grid[d]} * block[d];
+          break;
+        case Op::kLocalSize: v = d < 0 || d > 2 ? 1 : block[d]; break;
+        default: v = d < 0 || d > 2 ? 1 : grid[d]; break;  // kNumGroups
       }
-      out.set_type(Type::Vector(k, a.type()->vector_width()));
-      return out;
+      return Value::UInt(v, ScalarKind::kSizeT);
     }
-    return Value::Float(fn(a.AsF64()), k);
-  };
-  auto math2 = [&](double (*fn)(double, double)) -> StatusOr<Value> {
-    cycles_ += prof.cost_math;
-    const Value& a = args[0];
-    const Value& b = args[1];
-    bool use_float =
-        (name.back() == 'f' && L_.dialect == Dialect::kCUDA) ||
-        (a.type() && a.type()->scalar_kind() == ScalarKind::kFloat);
-    ScalarKind k = use_float ? ScalarKind::kFloat : ScalarKind::kDouble;
-    if (a.is_vector()) {
-      int w = a.type()->vector_width();
-      Value bb = b.ConvertTo(Type::Vector(k, w));
-      Value out = a.ConvertTo(Type::Vector(k, w));
-      for (int i = 0; i < w; ++i)
-        out.comps()[i].f = fn(out.comps()[i].f, bb.comps()[i].f);
-      return out;
-    }
-    return Value::Float(fn(a.AsF64(), b.AsF64()), k);
-  };
+    case Op::kWorkDim: return Value::UInt(3);
+    case Op::kGlobalOffset: return Value::UInt(0, ScalarKind::kSizeT);
 
-  static const std::unordered_map<std::string, double (*)(double)> kMath1 = {
-      {"sqrt", std::sqrt},   {"sqrtf", std::sqrt},
-      {"native_sqrt", std::sqrt}, {"half_sqrt", std::sqrt},
-      {"rsqrt", +[](double x) { return 1.0 / std::sqrt(x); }},
-      {"rsqrtf", +[](double x) { return 1.0 / std::sqrt(x); }},
-      {"native_rsqrt", +[](double x) { return 1.0 / std::sqrt(x); }},
-      {"cbrt", std::cbrt},
-      {"exp", std::exp},     {"expf", std::exp},
-      {"__expf", std::exp},  {"native_exp", std::exp},
-      {"exp2", std::exp2},   {"exp2f", std::exp2},
-      {"log", std::log},     {"logf", std::log},
-      {"__logf", std::log},  {"native_log", std::log},
-      {"log2", std::log2},   {"log2f", std::log2},
-      {"log10", std::log10}, {"log10f", std::log10},
-      {"sin", std::sin},     {"sinf", std::sin},
-      {"__sinf", std::sin},  {"native_sin", std::sin},
-      {"cos", std::cos},     {"cosf", std::cos},
-      {"__cosf", std::cos},  {"native_cos", std::cos},
-      {"tan", std::tan},     {"tanf", std::tan},
-      {"asin", std::asin},   {"asinf", std::asin},
-      {"acos", std::acos},   {"acosf", std::acos},
-      {"atan", std::atan},   {"atanf", std::atan},
-      {"sinh", std::sinh},   {"cosh", std::cosh},
-      {"tanh", std::tanh},
-      {"fabs", std::fabs},   {"fabsf", std::fabs},
-      {"floor", std::floor}, {"floorf", std::floor},
-      {"ceil", std::ceil},   {"ceilf", std::ceil},
-      {"trunc", std::trunc}, {"round", std::round},
-  };
-  if (auto it = kMath1.find(name); it != kMath1.end()) return math1(it->second);
+    // ---- synchronization ----
+    case Op::kBarrier:
+      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
+      ++L_.stats->barriers;
+      cycles_ += prof.cost_barrier;
+      L_.group->Barrier();
+      return Value::Void();
+    case Op::kMemFence:
+    case Op::kThreadFence:
+      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
+      cycles_ += prof.cost_alu;
+      return Value::Void();
 
-  static const std::unordered_map<std::string, double (*)(double, double)>
-      kMath2 = {
-          {"pow", std::pow},     {"powf", std::pow},
-          {"fmod", std::fmod},   {"fmodf", std::fmod},
-          {"atan2", std::atan2}, {"atan2f", std::atan2},
-          {"fmin", std::fmin},   {"fminf", std::fmin},
-          {"fmax", std::fmax},   {"fmaxf", std::fmax},
-          {"native_divide", +[](double a, double b) { return a / b; }},
-          {"__fdividef", +[](double a, double b) { return a / b; }},
-      };
-  if (auto it = kMath2.find(name); it != kMath2.end()) return math2(it->second);
+    // ---- images / textures ----
+    case Op::kReadImageF: return EvalImageRead(c, ScalarKind::kFloat);
+    case Op::kReadImageI: return EvalImageRead(c, ScalarKind::kInt);
+    case Op::kReadImageUI: return EvalImageRead(c, ScalarKind::kUInt);
+    case Op::kWriteImage: return EvalImageWrite(c);
+    case Op::kTexFetch: return EvalTexFetch(c);
+    case Op::kImageWidth:
+    case Op::kImageHeight: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value img, Eval(*c.args[0]));
+      BRIDGECL_ASSIGN_OR_RETURN(ImageDesc d, LoadImageDesc(img.AsVa()));
+      return Value::Int(b.op() == Op::kImageWidth ? d.width : d.height);
+    }
 
-  if (name == "fma" || name == "fmaf" || name == "mad") {
-    cycles_ += prof.cost_alu;
-    if (args[0].is_vector()) {
-      Type::Ptr vt = args[0].type();
-      Value a = args[0], b = args[1].ConvertTo(vt), d = args[2].ConvertTo(vt);
-      Value out = a;
-      for (int i = 0; i < vt->vector_width(); ++i)
-        out.comps()[i].f =
-            a.comps()[i].f * b.comps()[i].f + d.comps()[i].f;
-      return out;
-    }
-    ScalarKind k = args[0].type() &&
-                           args[0].type()->scalar_kind() == ScalarKind::kFloat
-                       ? ScalarKind::kFloat
-                       : ScalarKind::kDouble;
-    return Value::Float(args[0].AsF64() * args[1].AsF64() + args[2].AsF64(),
-                        k);
-  }
-  if (name == "min" || name == "max") {
-    ChargeOp(prof.cost_alu);
-    const Value& a = args[0];
-    const Value& b = args[1];
-    bool take_a;
-    if (a.type() && (a.type()->is_float() ||
-                     (b.type() && b.type()->is_float()))) {
-      take_a = name == "min" ? a.AsF64() <= b.AsF64() : a.AsF64() >= b.AsF64();
-    } else if (a.type() && !IsSignedScalar(a.type()->scalar_kind())) {
-      take_a = name == "min" ? a.AsU64() <= b.AsU64() : a.AsU64() >= b.AsU64();
-    } else {
-      take_a = name == "min" ? a.AsI64() <= b.AsI64() : a.AsI64() >= b.AsI64();
-    }
-    return take_a ? a : b;
-  }
-  if (name == "abs") {
-    ChargeOp(prof.cost_alu);
-    return Value::Int(std::llabs(args[0].AsI64()),
-                      args[0].type() ? args[0].type()->scalar_kind()
-                                     : ScalarKind::kInt);
-  }
-  if (name == "clamp") {
-    ChargeOp(prof.cost_alu);
-    if (args[0].type() && args[0].type()->is_float()) {
-      double v = args[0].AsF64(), lo = args[1].AsF64(), hi = args[2].AsF64();
-      return Value::Float(v < lo ? lo : (v > hi ? hi : v),
-                          args[0].type()->scalar_kind());
-    }
-    int64_t v = args[0].AsI64(), lo = args[1].AsI64(), hi = args[2].AsI64();
-    return Value::Int(v < lo ? lo : (v > hi ? hi : v));
-  }
-  if (name == "select") {
-    // OpenCL select(a, b, c): c chooses b (per-component MSB for vectors).
-    ChargeOp(prof.cost_alu);
-    const Value& a = args[0];
-    const Value& b = args[1];
-    const Value& c = args[2];
-    if (a.is_vector()) {
-      Value out = a;
-      for (int i = 0; i < a.type()->vector_width(); ++i) {
-        bool take_b = c.is_vector() ? (c.comps()[i].i < 0)
-                                    : c.AsBool();
-        if (take_b)
-          out.comps()[i] = i < static_cast<int>(b.comps().size())
-                               ? b.comps()[i]
-                               : ScalarVal{};
+    // ---- atomics ----
+    case Op::kAtomicAdd:
+    case Op::kAtomicSub:
+    case Op::kAtomicInc:
+    case Op::kAtomicDec:
+    case Op::kAtomicIncWrap:
+    case Op::kAtomicDecWrap:
+    case Op::kAtomicXchg:
+    case Op::kAtomicCmpxchg:
+    case Op::kAtomicMin:
+    case Op::kAtomicMax:
+    case Op::kAtomicAnd:
+    case Op::kAtomicOr:
+    case Op::kAtomicXor:
+      return EvalAtomic(b.op(), c);
+
+    // ---- vector family ----
+    case Op::kMakeVector: {
+      std::vector<ScalarVal> comps(b.width);
+      for (int i = 0; i < b.width; ++i) {
+        BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[i]));
+        comps[i] = v.ConvertTo(Type::Scalar(b.elem)).scalar();
       }
-      return out;
+      ChargeOp(prof.cost_alu);
+      return Value::Vector(Type::Vector(b.elem, b.width), std::move(comps));
     }
-    return c.AsBool() ? b : a;
-  }
-  if (name == "mix") {
-    cycles_ += prof.cost_alu;
-    double a = args[0].AsF64(), b = args[1].AsF64(), t = args[2].AsF64();
-    return Value::Float(a + (b - a) * t,
-                        args[0].type() ? args[0].type()->scalar_kind()
-                                       : ScalarKind::kFloat);
-  }
-  if (name == "mul24" || name == "__mul24") {
-    ChargeOp(prof.cost_alu);
-    return Value::Int((args[0].AsI64() & 0xFFFFFF) *
-                      (args[1].AsI64() & 0xFFFFFF));
-  }
-  if (name == "__popc" || name == "popcount") {
-    ChargeOp(prof.cost_alu);
-    return Value::Int(__builtin_popcountll(args[0].AsU64()));
-  }
-  if (name == "__clz" || name == "clz") {
-    ChargeOp(prof.cost_alu);
-    uint32_t v = static_cast<uint32_t>(args[0].AsU64());
-    return Value::Int(v == 0 ? 32 : __builtin_clz(v));
-  }
+    case Op::kConvert: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return v.ConvertTo(b.width == 0 ? Type::Scalar(b.elem)
+                                      : Type::Vector(b.elem, b.width));
+    }
+    case Op::kAs: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      return v.BitcastTo(b.width == 0 ? Type::Scalar(b.elem)
+                                      : Type::Vector(b.elem, b.width));
+    }
+    case Op::kVload: {
+      int w = b.width;
+      BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[0]));
+      BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[1]));
+      Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
+                                                : Type::FloatTy();
+      Type::Ptr vt = Type::Vector(elem->scalar_kind(), w);
+      uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
+      // vload reads w packed elements (no vec3 padding).
+      std::vector<ScalarVal> comps(w);
+      for (int i = 0; i < w; ++i) {
+        BRIDGECL_ASSIGN_OR_RETURN(Value v,
+                                  LoadMem(va + i * elem->ByteSize(), elem));
+        comps[i] = v.scalar();
+      }
+      return Value::Vector(vt, std::move(comps));
+    }
+    case Op::kVstore: {
+      int w = b.width;
+      BRIDGECL_ASSIGN_OR_RETURN(Value data, Eval(*c.args[0]));
+      BRIDGECL_ASSIGN_OR_RETURN(Value off, Eval(*c.args[1]));
+      BRIDGECL_ASSIGN_OR_RETURN(Value ptr, Eval(*c.args[2]));
+      Type::Ptr elem = ptr.type()->is_pointer() ? ptr.type()->pointee()
+                                                : Type::FloatTy();
+      uint64_t va = ptr.AsVa() + off.AsU64() * w * elem->ByteSize();
+      for (int i = 0; i < w; ++i) {
+        BRIDGECL_RETURN_IF_ERROR(StoreMem(
+            va + i * elem->ByteSize(), data.Component(i).ConvertTo(elem)));
+      }
+      return Value::Void();
+    }
 
-  return Err("unimplemented builtin '" + name + "' in " +
-             std::string(lang::DialectName(L_.dialect)) + " device code");
+    // ---- warp-level CUDA built-ins: degenerate single-lane semantics.
+    // These exist so that mcuda can *run* CUDA-only samples natively; the
+    // CU→CL translator rejects them (§3.7 / Table 3).
+    case Op::kShfl: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      for (size_t i = 1; i < c.args.size(); ++i)
+        BRIDGECL_RETURN_IF_ERROR(Eval(*c.args[i]).status());
+      ChargeOp(prof.cost_alu);
+      return v;
+    }
+    case Op::kAll:
+    case Op::kAny: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return Value::Int(v.AsBool() ? 1 : 0);
+    }
+    case Op::kBallot: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return Value::UInt(v.AsBool() ? 1u : 0u);
+    }
+    case Op::kClock: return Value::Int(static_cast<int64_t>(cycles_));
+    case Op::kClock64:
+      return Value::Int(static_cast<int64_t>(cycles_), ScalarKind::kLongLong);
+    case Op::kProfTrigger:
+      // No profiler counters to bump in the simulator.
+      BRIDGECL_RETURN_IF_ERROR(Eval(*c.args[0]).status());
+      return Value::Void();
+    case Op::kAssert: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value v, Eval(*c.args[0]));
+      if (!v.AsBool()) return Err("device-side assert failed");
+      return Value::Void();
+    }
+    case Op::kPrintf:
+      // Arguments are evaluated for side effects; output is suppressed in
+      // the simulator (matches running with stdout redirected).
+      for (const auto& a : c.args) BRIDGECL_RETURN_IF_ERROR(Eval(*a).status());
+      return Value::Int(0);
+
+    // ---- math (elementwise over vectors) ----
+    case Op::kSqrt: return Math1(b, c, std::sqrt);
+    case Op::kRsqrt:
+      return Math1(b, c, [](double x) { return 1.0 / std::sqrt(x); });
+    case Op::kCbrt: return Math1(b, c, std::cbrt);
+    case Op::kExp: return Math1(b, c, std::exp);
+    case Op::kExp2: return Math1(b, c, std::exp2);
+    case Op::kLog: return Math1(b, c, std::log);
+    case Op::kLog2: return Math1(b, c, std::log2);
+    case Op::kLog10: return Math1(b, c, std::log10);
+    case Op::kSin: return Math1(b, c, std::sin);
+    case Op::kCos: return Math1(b, c, std::cos);
+    case Op::kTan: return Math1(b, c, std::tan);
+    case Op::kAsin: return Math1(b, c, std::asin);
+    case Op::kAcos: return Math1(b, c, std::acos);
+    case Op::kAtan: return Math1(b, c, std::atan);
+    case Op::kSinh: return Math1(b, c, std::sinh);
+    case Op::kCosh: return Math1(b, c, std::cosh);
+    case Op::kTanh: return Math1(b, c, std::tanh);
+    case Op::kFabs: return Math1(b, c, std::fabs);
+    case Op::kFloor: return Math1(b, c, std::floor);
+    case Op::kCeil: return Math1(b, c, std::ceil);
+    case Op::kTrunc: return Math1(b, c, std::trunc);
+    case Op::kRound: return Math1(b, c, std::round);
+    case Op::kAtan2: return Math2(b, c, std::atan2);
+    case Op::kFmin: return Math2(b, c, std::fmin);
+    case Op::kFmax: return Math2(b, c, std::fmax);
+    case Op::kFmod: return Math2(b, c, std::fmod);
+    case Op::kPow: return Math2(b, c, std::pow);
+    case Op::kDivide:
+      return Math2(b, c, [](double x, double y) { return x / y; });
+    case Op::kFma: {
+      BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+      cycles_ += prof.cost_alu;
+      if (args[0].is_vector()) {
+        Type::Ptr vt = args[0].type();
+        Value a = args[0], y = args[1].ConvertTo(vt), z = args[2].ConvertTo(vt);
+        Value out = a;
+        for (int i = 0; i < vt->vector_width(); ++i)
+          out.comps()[i].f =
+              a.comps()[i].f * y.comps()[i].f + z.comps()[i].f;
+        return out;
+      }
+      ScalarKind k = b.info->float_result ||
+                             (args[0].type() && args[0].type()->scalar_kind() ==
+                                                    ScalarKind::kFloat)
+                         ? ScalarKind::kFloat
+                         : ScalarKind::kDouble;
+      return Value::Float(args[0].AsF64() * args[1].AsF64() + args[2].AsF64(),
+                          k);
+    }
+
+    // ---- integer and common functions ----
+    case Op::kMin:
+    case Op::kMax: {
+      BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+      ChargeOp(prof.cost_alu);
+      const Value& x = args[0];
+      const Value& y = args[1];
+      bool is_min = b.op() == Op::kMin;
+      bool take_x;
+      if (x.type() && (x.type()->is_float() ||
+                       (y.type() && y.type()->is_float()))) {
+        take_x = is_min ? x.AsF64() <= y.AsF64() : x.AsF64() >= y.AsF64();
+      } else if (x.type() && !IsSignedScalar(x.type()->scalar_kind())) {
+        take_x = is_min ? x.AsU64() <= y.AsU64() : x.AsU64() >= y.AsU64();
+      } else {
+        take_x = is_min ? x.AsI64() <= y.AsI64() : x.AsI64() >= y.AsI64();
+      }
+      return take_x ? x : y;
+    }
+    case Op::kAbs: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value x, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return Value::Int(std::llabs(x.AsI64()),
+                        x.type() ? x.type()->scalar_kind() : ScalarKind::kInt);
+    }
+    case Op::kClamp: {
+      BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+      ChargeOp(prof.cost_alu);
+      if (args[0].type() && args[0].type()->is_float()) {
+        double v = args[0].AsF64(), lo = args[1].AsF64(), hi = args[2].AsF64();
+        return Value::Float(v < lo ? lo : (v > hi ? hi : v),
+                            args[0].type()->scalar_kind());
+      }
+      int64_t v = args[0].AsI64(), lo = args[1].AsI64(), hi = args[2].AsI64();
+      return Value::Int(v < lo ? lo : (v > hi ? hi : v));
+    }
+    case Op::kSelect: {
+      // OpenCL select(a, b, c): c chooses b (per-component MSB for vectors).
+      BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+      ChargeOp(prof.cost_alu);
+      const Value& x = args[0];
+      const Value& y = args[1];
+      const Value& z = args[2];
+      if (x.is_vector()) {
+        Value out = x;
+        for (int i = 0; i < x.type()->vector_width(); ++i) {
+          bool take_y = z.is_vector() ? (z.comps()[i].i < 0) : z.AsBool();
+          if (take_y)
+            out.comps()[i] = i < static_cast<int>(y.comps().size())
+                                 ? y.comps()[i]
+                                 : ScalarVal{};
+        }
+        return out;
+      }
+      return z.AsBool() ? y : x;
+    }
+    case Op::kMix: {
+      BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+      cycles_ += prof.cost_alu;
+      double x = args[0].AsF64(), y = args[1].AsF64(), t = args[2].AsF64();
+      return Value::Float(x + (y - x) * t,
+                          args[0].type() ? args[0].type()->scalar_kind()
+                                         : ScalarKind::kFloat);
+    }
+    case Op::kMul24: {
+      BRIDGECL_ASSIGN_OR_RETURN(std::vector<Value> args, EvalArgs(c));
+      ChargeOp(prof.cost_alu);
+      return Value::Int((args[0].AsI64() & 0xFFFFFF) *
+                        (args[1].AsI64() & 0xFFFFFF));
+    }
+    case Op::kPopcount: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value x, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      return Value::Int(__builtin_popcountll(x.AsU64()));
+    }
+    case Op::kClz: {
+      BRIDGECL_ASSIGN_OR_RETURN(Value x, Eval(*c.args[0]));
+      ChargeOp(prof.cost_alu);
+      uint32_t v = static_cast<uint32_t>(x.AsU64());
+      return Value::Int(v == 0 ? 32 : __builtin_clz(v));
+    }
+
+    // Identifiers, not functions: sema never resolves a call to them.
+    case Op::kNone:
+    case Op::kThreadIdx:
+    case Op::kBlockIdx:
+    case Op::kBlockDim:
+    case Op::kGridDim:
+    case Op::kWarpSize:
+    case Op::kConstant:
+    case Op::kHostConstant:
+      break;
+  }
+  return Err("'" + c.callee_name() + "' is not a function");
 }
 
 // ---------------------------------------------------------------------------
 // Block-parallel grid scheduler support
 // ---------------------------------------------------------------------------
-
-/// Mirror of CallBuiltin's atomic dispatch predicate (including the
-/// __oc2cu_ wrapper-prefix strip). Kernels that reach an atomic builtin
-/// are executed serially: EvalAtomic models the op as a non-atomic
-/// read-modify-write whose cross-block interleaving (and returned old
-/// values) would otherwise depend on worker scheduling.
-bool IsAtomicBuiltinName(const std::string& raw_name) {
-  const std::string name =
-      StartsWith(raw_name, "__oc2cu_") ? raw_name.substr(8) : raw_name;
-  return StartsWith(name, "atomic_") || StartsWith(name, "atom_") ||
-         StartsWith(name, "atomic");
-}
 
 /// What a kernel may do to global memory, attributed to the kernel
 /// parameter each access flows from. The serial engine runs blocks in
@@ -2141,9 +2110,12 @@ class HazardScanner {
           }
           return;
         }
-        const std::string name = c->callee_name();
-        if (IsAtomicBuiltinName(name)) sum_.uses_atomics = true;
-        if (record_ && StartsWith(name, "write_image"))
+        // Atomics serialize the launch: EvalAtomic's read-modify-write
+        // would otherwise interleave by worker scheduling.
+        const lang::BuiltinRef& b = c->builtin();
+        if (b && b.info->cls == lang::BuiltinClass::kAtomic)
+          sum_.uses_atomics = true;
+        if (record_ && b.op() == Op::kWriteImage)
           sum_.unknown_store = true;
         // Builtins taking pointers (vload/vstore, atomics, ...) may both
         // read and write through them.

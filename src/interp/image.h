@@ -10,16 +10,16 @@
 
 #include <cstdint>
 
+#include "lang/builtins.h"
 #include "lang/type.h"
 
 namespace bridgecl::interp {
 
-/// Sampler state bits (subset of OpenCL sampler properties).
-enum SamplerBits : uint32_t {
-  kSamplerNormalizedCoords = 1u << 0,
-  kSamplerFilterLinear = 1u << 1,   // else nearest
-  kSamplerAddressClamp = 1u << 2,   // clamp-to-edge (the only mode we model)
-};
+/// Sampler state bits (subset of OpenCL sampler properties), encoded as
+/// the CLK_* sampler constants of the builtin catalog.
+using lang::kSamplerAddressClamp;
+using lang::kSamplerFilterLinear;
+using lang::kSamplerNormalizedCoords;
 
 /// POD descriptor stored in device memory. All fields little-endian.
 struct ImageDesc {

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "interp/constants.h"
 #include "interp/value.h"
 #include "lang/parser.h"
 #include "lang/sema.h"
@@ -39,10 +38,10 @@ StatusOr<Value> FoldInit(const Expr& e, const lang::Type::Ptr& target) {
       return FoldInit(*e.As<lang::ParenExpr>()->inner, target);
     case ExprKind::kDeclRef: {
       // Named device constants (CLK_* sampler/fence flags).
-      auto c = NamedConstantValue(e.As<lang::DeclRefExpr>()->name);
-      if (!c.has_value())
+      const lang::BuiltinRef& b = e.As<lang::DeclRefExpr>()->builtin;
+      if (b.op() != lang::BuiltinOp::kConstant)
         return UnimplementedError("non-constant initializer reference");
-      return Value::UInt(*c).ConvertTo(target);
+      return Value::UInt(b.info->value).ConvertTo(target);
     }
     case ExprKind::kBinary: {
       const auto* b = e.As<lang::BinaryExpr>();

@@ -4,10 +4,18 @@
 
 namespace bridgecl::lang {
 
-std::string CallExpr::callee_name() const {
+const std::string& CallExpr::callee_name() const {
+  static const std::string kNone;
   if (callee && callee->kind == ExprKind::kDeclRef)
     return callee->As<DeclRefExpr>()->name;
-  return "";
+  return kNone;
+}
+
+const BuiltinRef& CallExpr::builtin() const {
+  static const BuiltinRef kNone;
+  if (callee && callee->kind == ExprKind::kDeclRef)
+    return callee->As<DeclRefExpr>()->builtin;
+  return kNone;
 }
 
 const StructField* StructDecl::FindField(const std::string& n) const {

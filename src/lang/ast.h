@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "lang/builtins.h"
 #include "lang/type.h"
 #include "support/source_location.h"
 
@@ -131,7 +132,7 @@ struct DeclRefExpr : Expr {
   /// Resolved by sema: variable, parameter, function, or builtin.
   VarDecl* var = nullptr;            // non-null for variable references
   FunctionDecl* function = nullptr;  // non-null for user function refs
-  bool is_builtin = false;           // builtin function or builtin variable
+  BuiltinRef builtin;                // builtin function, variable or constant
 };
 
 struct UnaryExpr : Expr {
@@ -166,7 +167,9 @@ struct CallExpr : Expr {
   /// For CUDA template calls `f<float>(x)`: explicit type arguments.
   std::vector<Type::Ptr> type_args;
   /// Callee name convenience (empty if callee is not a DeclRef).
-  std::string callee_name() const;
+  const std::string& callee_name() const;
+  /// The builtin sema resolved the callee to (empty for user functions).
+  const BuiltinRef& builtin() const;
 };
 
 struct IndexExpr : Expr {

@@ -342,14 +342,8 @@ Status Sema::AnalyzeExpr(Expr* e) {
         return OkStatus();
       }
       if (auto it = textures_.find(r->name); it != textures_.end()) {
-        r->is_builtin = false;
         e->type = Type::Texture(it->second->elem, it->second->elem_width,
                                 it->second->dims);
-        return OkStatus();
-      }
-      if (Type::Ptr bt = BuiltinVariableType(r->name, dialect_)) {
-        r->is_builtin = true;
-        e->type = bt;
         return OkStatus();
       }
       if (FunctionDecl* fn = tu_.FindFunction(r->name)) {
@@ -357,16 +351,10 @@ Status Sema::AnalyzeExpr(Expr* e) {
         e->type = fn->return_type;
         return OkStatus();
       }
-      if (FindBuiltinFunction(r->name, dialect_).has_value()) {
-        r->is_builtin = true;
-        e->type = Type::IntTy();  // refined at the call site
-        return OkStatus();
-      }
-      // OpenCL sampler constants and enum-ish macros.
-      if (StartsWith(r->name, "CLK_") || StartsWith(r->name, "CL_") ||
-          StartsWith(r->name, "cuda")) {
-        r->is_builtin = true;
-        e->type = Type::UIntTy();
+      r->builtin = FindBuiltinFunction(r->name, dialect_);
+      if (!r->builtin) r->builtin = FindBuiltinVariable(r->name, dialect_);
+      if (r->builtin) {
+        e->type = BuiltinResultType(r->builtin, {});
         return OkStatus();
       }
       return Err(e->loc, "use of undeclared identifier '" + r->name + "'");
@@ -462,12 +450,27 @@ Status Sema::AnalyzeExpr(Expr* e) {
         BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(a.get()));
         arg_types.push_back(a->type);
       }
-      std::string name = c->callee_name();
+      const std::string& name = c->callee_name();
       if (name.empty())
         return Err(e->loc, "indirect calls (function pointers) are not "
                            "supported in device code");
-      if (FunctionDecl* fn = tu_.FindFunction(name)) {
-        c->callee->As<DeclRefExpr>()->function = fn;
+      auto* ref = c->callee->As<DeclRefExpr>();
+      FunctionDecl* fn = tu_.FindFunction(name);
+      // A defined function shadows a builtin; a bodiless prototype of a
+      // builtin spelling still calls the builtin.
+      BuiltinRef b;
+      if (fn == nullptr || fn->body == nullptr)
+        b = FindBuiltinFunction(name, dialect_);
+      if (b) {
+        if (auto msg = BuiltinArityError(b, name, c->args.size()))
+          return Err(e->loc, *msg);
+        ref->builtin = b;
+        e->type = BuiltinResultType(b, arg_types);
+        c->callee->type = e->type;
+        return OkStatus();
+      }
+      if (fn != nullptr) {
+        ref->function = fn;
         Type::Ptr ret = fn->return_type;
         // Template call: the return type may be the template parameter;
         // substitute from explicit type args or the first argument.
@@ -478,13 +481,6 @@ Status Sema::AnalyzeExpr(Expr* e) {
             ret = arg_types[0];
         }
         e->type = ret ? ret : Type::VoidTy();
-        c->callee->type = e->type;
-        return OkStatus();
-      }
-      if (FindBuiltinFunction(name, dialect_).has_value()) {
-        c->callee->As<DeclRefExpr>()->is_builtin = true;
-        // tex* calls: refine using the named texture reference argument.
-        e->type = BuiltinResultType(name, dialect_, arg_types);
         c->callee->type = e->type;
         return OkStatus();
       }

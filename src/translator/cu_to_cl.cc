@@ -8,7 +8,6 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/sema.h"
-#include "support/strings.h"
 #include "translator/rewrite_util.h"
 #include "translator/translate.h"
 
@@ -332,35 +331,30 @@ class CuToCl {
   // ---- pass 4: built-in variables and functions ----
   Status RewriteBuiltinsAndVars() {
     auto fix = [&](ExprPtr& e) -> Status {
-      // threadIdx.x → get_local_id(0) etc.
+      // threadIdx.x → get_local_id(0) etc. (the variable's counterpart).
       if (e->kind == ExprKind::kMember) {
         auto* m = e->As<MemberExpr>();
         if (m->base->kind == ExprKind::kDeclRef) {
-          auto* r = m->base->As<DeclRefExpr>();
-          if (r->is_builtin && m->is_swizzle && m->swizzle.size() == 1) {
-            const std::string& n = r->name;
-            const char* repl = n == "threadIdx"  ? "get_local_id"
-                               : n == "blockIdx" ? "get_group_id"
-                               : n == "blockDim" ? "get_local_size"
-                               : n == "gridDim"  ? "get_num_groups"
-                                                 : nullptr;
-            if (repl != nullptr) {
-              std::vector<ExprPtr> args;
-              args.push_back(MakeIntLit(m->swizzle[0]));
-              auto call = MakeCall(repl, std::move(args));
-              call->type = Type::SizeTy();
-              call->loc = e->loc;
-              e = std::move(call);
-              return OkStatus();
-            }
+          const BuiltinRef& b = m->base->As<DeclRefExpr>()->builtin;
+          if (b && b.info->counterpart != nullptr && m->is_swizzle &&
+              m->swizzle.size() == 1) {
+            std::vector<ExprPtr> args;
+            args.push_back(MakeIntLit(m->swizzle[0]));
+            auto call = MakeCall(b.info->counterpart, std::move(args));
+            call->type = Type::SizeTy();
+            call->loc = e->loc;
+            e = std::move(call);
+            return OkStatus();
           }
         }
       }
+      // Model-specific CUDA built-ins, called or read (§3.7 / Table 3).
       if (e->kind == ExprKind::kDeclRef) {
         auto* r = e->As<DeclRefExpr>();
-        if (r->is_builtin && r->name == "warpSize")
-          return Untranslatable(e->loc,
-                                "warpSize (no OpenCL counterpart, §3.7)");
+        if (r->builtin && r->builtin.info->hw_specific)
+          return Untranslatable(e->loc, "'" + r->name +
+                                            "' has no corresponding OpenCL "
+                                            "function");
       }
       // C++ casts → C casts (§3.6).
       if (e->kind == ExprKind::kCast) {
@@ -369,89 +363,46 @@ class CuToCl {
       }
       if (e->kind != ExprKind::kCall) return OkStatus();
       auto* c = e->As<CallExpr>();
-      std::string name = c->callee_name();
+      const std::string& name = c->callee_name();
       if (name.empty()) {
         return Untranslatable(e->loc,
                               "indirect call through a function pointer");
       }
-
-      // Model-specific CUDA built-ins (§3.7 / Table 3).
-      static const std::unordered_set<std::string> kNoCounterpart = {
-          "__shfl", "__shfl_up", "__shfl_down", "__shfl_xor", "__all",
-          "__any",  "__ballot",  "clock",       "clock64",    "assert",
-          "printf", "__prof_trigger",
-      };
-      if (kNoCounterpart.count(name))
-        return Untranslatable(
-            e->loc, "'" + name + "' has no corresponding OpenCL function");
-
-      if (name == "atomicInc" || name == "atomicDec") {
-        if (!opts_.allow_atomic_emulation)
+      const BuiltinRef& b = c->builtin();
+      // User functions, and wrapper-library spellings, keep their names.
+      if (!b || b.wrapped) return OkStatus();
+      switch (b.op()) {
+        case BuiltinOp::kPrintf:
           return Untranslatable(
-              e->loc,
-              "'" + name +
-                  "' wrap-around semantics differ from OpenCL "
-                  "atomic_inc/atomic_dec (§3.7); enable atomic emulation "
-                  "to translate");
-        used_atomic_emulation_ = true;
-        c->callee = MakeRef("__cu2cl_" + name);
-        return OkStatus();
-      }
-
-      if (name == "__syncthreads") {
-        c->callee = MakeRef("barrier");
-        auto flag = MakeRef("CLK_LOCAL_MEM_FENCE");
-        flag->is_builtin = true;
-        c->args.clear();
-        c->args.push_back(std::move(flag));
-        return OkStatus();
-      }
-      if (name == "__threadfence" || name == "__threadfence_block") {
-        c->callee = MakeRef("mem_fence");
-        auto flag = MakeRef(name == "__threadfence" ? "CLK_GLOBAL_MEM_FENCE"
-                                                    : "CLK_LOCAL_MEM_FENCE");
-        flag->is_builtin = true;
-        c->args.clear();
-        c->args.push_back(std::move(flag));
-        return OkStatus();
-      }
-
-      static const std::unordered_map<std::string, std::string> kRename = {
-          {"sqrtf", "sqrt"},     {"rsqrtf", "rsqrt"},
-          {"expf", "exp"},       {"exp2f", "exp2"},
-          {"logf", "log"},       {"log2f", "log2"},
-          {"log10f", "log10"},   {"sinf", "sin"},
-          {"cosf", "cos"},       {"tanf", "tan"},
-          {"asinf", "asin"},     {"acosf", "acos"},
-          {"atanf", "atan"},     {"atan2f", "atan2"},
-          {"fabsf", "fabs"},     {"floorf", "floor"},
-          {"ceilf", "ceil"},     {"fminf", "fmin"},
-          {"fmaxf", "fmax"},     {"fmodf", "fmod"},
-          {"powf", "pow"},       {"fmaf", "fma"},
-          {"__expf", "native_exp"},   {"__logf", "native_log"},
-          {"__sinf", "native_sin"},   {"__cosf", "native_cos"},
-          {"__fdividef", "native_divide"},
-          {"__mul24", "mul24"},  {"__popc", "popcount"},
-          {"__clz", "clz"},
-          {"atomicAdd", "atomic_add"}, {"atomicSub", "atomic_sub"},
-          {"atomicExch", "atomic_xchg"}, {"atomicCAS", "atomic_cmpxchg"},
-          {"atomicMin", "atomic_min"}, {"atomicMax", "atomic_max"},
-          {"atomicAnd", "atomic_and"}, {"atomicOr", "atomic_or"},
-          {"atomicXor", "atomic_xor"},
-      };
-      if (auto it = kRename.find(name); it != kRename.end()) {
-        c->callee = MakeRef(it->second);
-        return OkStatus();
-      }
-
-      // make_floatN(...) → (floatN)(...) vector literal; make_float1 → cast.
-      if (StartsWith(name, "make_")) {
-        ScalarKind ek;
-        int w;
-        if (ParseVectorTypeName(name.substr(5), &ek, &w)) {
+              e->loc, "device-side printf (a CUDA language extension)");
+        case BuiltinOp::kAtomicIncWrap:
+        case BuiltinOp::kAtomicDecWrap:
+          if (!opts_.allow_atomic_emulation)
+            return Untranslatable(
+                e->loc,
+                "'" + name +
+                    "' wrap-around semantics differ from OpenCL "
+                    "atomic_inc/atomic_dec (§3.7); enable atomic emulation "
+                    "to translate");
+          used_atomic_emulation_ = true;
+          c->callee = MakeRef("__cu2cl_" + name);
+          return OkStatus();
+        // OpenCL barriers and fences name the memory they order.
+        case BuiltinOp::kBarrier:
+        case BuiltinOp::kMemFence:
+        case BuiltinOp::kThreadFence:
+          c->args.clear();
+          c->args.push_back(MakeRef(b.op() == BuiltinOp::kThreadFence
+                                        ? "CLK_GLOBAL_MEM_FENCE"
+                                        : "CLK_LOCAL_MEM_FENCE"));
+          break;
+        // make_floatN(...) → (floatN)(...) vector literal; make_float1 →
+        // cast.
+        case BuiltinOp::kMakeVector: {
+          ScalarKind ek = b.elem;
           if (ek == ScalarKind::kLongLong) ek = ScalarKind::kLong;
           if (ek == ScalarKind::kULongLong) ek = ScalarKind::kULong;
-          if (w == 1) {
+          if (b.width == 1) {
             auto cast = std::make_unique<CastExpr>();
             cast->style = CastStyle::kCStyle;
             cast->target = Type::Scalar(ek);
@@ -461,14 +412,18 @@ class CuToCl {
             return OkStatus();
           }
           auto lit = std::make_unique<VectorLitExpr>();
-          lit->vec_type = Type::Vector(ek, w);
+          lit->vec_type = Type::Vector(ek, b.width);
           lit->elems = std::move(c->args);
           lit->type = lit->vec_type;
           lit->loc = e->loc;
           e = std::move(lit);
           return OkStatus();
         }
+        default:
+          break;
       }
+      if (b.info->counterpart != nullptr)
+        c->callee = MakeRef(b.info->counterpart);
       return OkStatus();
     };
     return ForEachBody([&](FunctionDecl& fn) {
@@ -594,9 +549,7 @@ class CuToCl {
           MutateExprs(fn->body.get(), [&](ExprPtr& e) -> Status {
             if (e->kind != ExprKind::kCall) return OkStatus();
             auto* c = e->As<CallExpr>();
-            std::string name = c->callee_name();
-            if (name != "tex1Dfetch" && name != "tex1D" && name != "tex2D" &&
-                name != "tex3D") {
+            if (c->builtin().op() != BuiltinOp::kTexFetch) {
               // A bare texref used any other way is untranslatable.
               for (auto& a : c->args) {
                 if (a->kind == ExprKind::kDeclRef &&
@@ -606,7 +559,7 @@ class CuToCl {
               }
               return OkStatus();
             }
-            if (c->args.empty() || c->args[0]->kind != ExprKind::kDeclRef)
+            if (c->args[0]->kind != ExprKind::kDeclRef)
               return Untranslatable(e->loc,
                                     "texture fetch on a non-reference");
             std::string tex = c->args[0]->As<DeclRefExpr>()->name;
@@ -631,9 +584,10 @@ class CuToCl {
             auto samp = MakeRef(tex + "__sampler");
             call->args.push_back(std::move(img));
             call->args.push_back(std::move(samp));
-            if (name == "tex1Dfetch" || name == "tex1D") {
+            // One coordinate per texture dimension.
+            if (c->args.size() == 2) {
               call->args.push_back(std::move(c->args[1]));
-            } else if (name == "tex2D") {
+            } else if (c->args.size() == 3) {
               auto lit = std::make_unique<VectorLitExpr>();
               lit->vec_type = Type::Vector(ScalarKind::kFloat, 2);
               lit->elems.push_back(std::move(c->args[1]));

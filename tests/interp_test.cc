@@ -725,5 +725,89 @@ TEST_F(InterpTest, MultiDimensionalGrid) {
   EXPECT_EQ(out[3 * w + 7], 7 + 30);
 }
 
+TEST_F(InterpTest, OutOfRangeDimindx) {
+  // OpenCL 1.2 §6.12.1: ids read 0 and sizes read 1 outside
+  // [0, get_work_dim()), instead of aliasing the z dimension.
+  auto m = Compile(
+      "__kernel void k(__global int* out) {"
+      "  if (get_local_id(2) != 1 || get_group_id(2) != 1) return;"
+      "  out[0] = get_local_size(5);"
+      "  out[1] = get_local_size(-1);"
+      "  out[2] = get_global_size(3);"
+      "  out[3] = get_num_groups(7);"
+      "  out[4] = get_global_id(3);"
+      "  out[5] = get_local_id(-2);"
+      "  out[6] = get_group_id(4);"
+      "  out[7] = get_global_offset(9);"
+      "  out[8] = get_local_size(2);"
+      "  out[9] = get_global_id(2);"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(m, nullptr);
+  uint64_t vo = Alloc(10 * 4);
+  WriteBuf(vo, std::vector<int>(10, -1));
+  LaunchConfig cfg;
+  cfg.grid = Dim3(1, 1, 3);
+  cfg.block = Dim3(1, 1, 2);
+  std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+  auto r = LaunchKernel(device_, *m, "k", cfg, args);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ReadBuf<int>(vo, 10),
+            (std::vector<int>{1, 1, 1, 1, 0, 0, 0, 0, 2, 3}));
+}
+
+/// A builtin called with the wrong number of arguments fails to compile
+/// with a diagnostic naming it, instead of reading past the argument list
+/// at launch time.
+struct ArityCase {
+  const char* name;
+  Dialect dialect;
+  const char* call;
+  const char* expected;  // "<builtin>' expects <count> argument"
+};
+
+class BuiltinArityTest : public ::testing::TestWithParam<ArityCase> {};
+
+TEST_P(BuiltinArityTest, RejectedByCompile) {
+  const ArityCase& p = GetParam();
+  std::string src =
+      p.dialect == Dialect::kOpenCL
+          ? std::string("__kernel void k(__global float* out) {")
+          : std::string("__global__ void k(float* out) {");
+  src += " float a = out[1], b = out[2]; out[0] = ";
+  src += p.call;
+  src += "; }";
+  DiagnosticEngine diags;
+  auto m = Module::Compile(src, p.dialect, diags);
+  ASSERT_FALSE(m.ok()) << src;
+  EXPECT_NE(diags.ToString().find(p.expected), std::string::npos)
+      << diags.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Calls, BuiltinArityTest,
+    ::testing::Values(
+        ArityCase{"sqrt", Dialect::kOpenCL, "sqrt()",
+                  "'sqrt' expects 1 argument, got 0"},
+        ArityCase{"min", Dialect::kOpenCL, "min(1)",
+                  "'min' expects 2 arguments, got 1"},
+        ArityCase{"get_image_width", Dialect::kOpenCL, "get_image_width()",
+                  "'get_image_width' expects 1 argument, got 0"},
+        ArityCase{"convert_float", Dialect::kOpenCL, "convert_float()",
+                  "'convert_float' expects 1 argument, got 0"},
+        ArityCase{"vload4", Dialect::kOpenCL, "vload4(0)",
+                  "'vload4' expects 2 arguments, got 1"},
+        ArityCase{"fmin", Dialect::kOpenCL, "fmin(1.0f)",
+                  "'fmin' expects 2 arguments, got 1"},
+        ArityCase{"fma", Dialect::kOpenCL, "fma(a, b)",
+                  "'fma' expects 3 arguments, got 2"},
+        ArityCase{"sqrtf", Dialect::kCUDA, "sqrtf()",
+                  "'sqrtf' expects 1 argument, got 0"},
+        ArityCase{"shfl", Dialect::kCUDA, "__shfl()",
+                  "'__shfl' expects 2 to 3 arguments, got 0"},
+        ArityCase{"all", Dialect::kCUDA, "__all()",
+                  "'__all' expects 1 argument, got 0"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 }  // namespace
 }  // namespace bridgecl::interp

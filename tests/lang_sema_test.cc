@@ -194,5 +194,84 @@ TEST(SemaTest, TextureRefTyping) {
   EXPECT_EQ(assign->rhs->type->scalar_kind(), ScalarKind::kFloat);
 }
 
+/// The callee of the call in `k`'s `index`-th statement, `out[..] = CALL;`.
+const CallExpr* CallInStmt(TranslationUnit& tu, size_t index) {
+  auto* f = tu.FindFunction("k");
+  auto* assign =
+      f->body->body[index]->As<ExprStmt>()->expr->As<AssignExpr>();
+  const Expr* rhs = assign->rhs.get();
+  if (rhs->kind == ExprKind::kCast) rhs = rhs->As<CastExpr>()->operand.get();
+  return rhs->As<CallExpr>();
+}
+
+TEST(SemaTest, BuiltinCallsResolvedOnce) {
+  auto tu = Analyzed(
+      "__kernel void k(__global float* o, __global int* i) {"
+      "  i[0] = get_global_id(0);"
+      "  o[0] = native_sqrt(o[1]);"
+      "  i[1] = convert_int(o[2]);"
+      "  o[1] = vload4(0, o).y;"
+      "}",
+      Dialect::kOpenCL);
+  ASSERT_NE(tu, nullptr);
+  const CallExpr* c = CallInStmt(*tu, 0);
+  EXPECT_EQ(c->builtin().op(), BuiltinOp::kGlobalId);
+  EXPECT_EQ(c->type->scalar_kind(), ScalarKind::kSizeT);
+  c = CallInStmt(*tu, 1);
+  EXPECT_EQ(c->builtin().op(), BuiltinOp::kSqrt);
+  EXPECT_STREQ(c->builtin().info->counterpart, "sqrtf");
+  c = CallInStmt(*tu, 2);
+  EXPECT_EQ(c->builtin().op(), BuiltinOp::kConvert);
+  EXPECT_EQ(c->builtin().elem, ScalarKind::kInt);
+  EXPECT_EQ(c->builtin().width, 0);
+  EXPECT_EQ(c->type->scalar_kind(), ScalarKind::kInt);
+}
+
+TEST(SemaTest, CudaBuiltinsAndWrapperSpellings) {
+  auto tu = Analyzed(
+      "__global__ void k(float4* v, float* o) {"
+      "  v[0] = make_float4(1.0f, 2.0f, 3.0f, 4.0f);"
+      "  o[0] = sqrtf(threadIdx.x);"
+      "  o[1] = __oc2cu_convert_float(blockIdx.y);"
+      "}",
+      Dialect::kCUDA);
+  ASSERT_NE(tu, nullptr);
+  const CallExpr* c = CallInStmt(*tu, 0);
+  EXPECT_EQ(c->builtin().op(), BuiltinOp::kMakeVector);
+  EXPECT_EQ(c->builtin().elem, ScalarKind::kFloat);
+  EXPECT_EQ(c->builtin().width, 4);
+  c = CallInStmt(*tu, 1);
+  EXPECT_TRUE(c->builtin().info->float_result);
+  EXPECT_EQ(c->type->scalar_kind(), ScalarKind::kFloat);
+  const auto* idx = c->args[0]->As<MemberExpr>()->base->As<DeclRefExpr>();
+  EXPECT_EQ(idx->builtin.op(), BuiltinOp::kThreadIdx);
+  c = CallInStmt(*tu, 2);
+  EXPECT_EQ(c->builtin().op(), BuiltinOp::kConvert);
+  EXPECT_TRUE(c->builtin().wrapped);
+}
+
+TEST(SemaTest, DefinedFunctionShadowsBuiltin) {
+  auto tu = Analyzed(
+      "float mix(float a, float b, float t) { return a; }"
+      "__kernel void k(__global float* o) { o[0] = mix(o[1], o[2], 0.5f); }",
+      Dialect::kOpenCL);
+  ASSERT_NE(tu, nullptr);
+  const CallExpr* c = CallInStmt(*tu, 0);
+  EXPECT_FALSE(c->builtin());
+  EXPECT_NE(c->callee->As<DeclRefExpr>()->function, nullptr);
+}
+
+TEST(SemaTest, BuiltinArityCheckedOnce) {
+  DiagnosticEngine diags;
+  auto tu = ParseTranslationUnit(
+      "__kernel void k(__global float* o) { o[0] = clamp(o[1], 0.0f); }",
+      {Dialect::kOpenCL}, diags);
+  ASSERT_TRUE(tu.ok());
+  EXPECT_FALSE(Analyze(**tu, {Dialect::kOpenCL}, diags).ok());
+  EXPECT_NE(diags.ToString().find("builtin 'clamp' expects 3 arguments, got 2"),
+            std::string::npos)
+      << diags.ToString();
+}
+
 }  // namespace
 }  // namespace bridgecl::lang

@@ -1,17 +1,20 @@
 // Execution-level checks of translated built-ins: every OpenCL builtin the
 // CL→CU rewriter maps (wrapper device functions, math renames, clamp/mix
 // expansions, vload/vstore, conversions, reinterpretations) must compute
-// the same value after translation. Plus parse→print idempotence over all
-// shipped application sources.
+// the same value after translation, and every math/integer row of the
+// builtin catalog must in both directions. Plus parse→print idempotence
+// over all shipped application sources.
 #include <gtest/gtest.h>
 
 #include "apps/app.h"
 #include "interp/executor.h"
 #include "interp/module.h"
+#include "lang/builtins.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/sema.h"
 #include "simgpu/device.h"
+#include "translator/classifier.h"
 #include "translator/translate.h"
 
 namespace bridgecl {
@@ -24,15 +27,21 @@ using simgpu::Device;
 using simgpu::Dim3;
 using simgpu::TitanProfile;
 
-/// Run a one-work-item OpenCL kernel writing 8 floats to `out`, both
-/// natively and after CL→CU translation, and return the two output arrays.
-StatusOr<std::pair<std::vector<float>, std::vector<float>>> RunBoth(
-    const std::string& body) {
-  std::string src =
-      "__kernel void k(__global float* out, __global float* in) {\n" + body +
-      "\n}";
+/// Run a one-work-item kernel `k(out, in)` writing 8 floats to `out`, both
+/// natively in `dialect` and after translation to the other dialect, and
+/// return the two output arrays and the translated source.
+struct NativeAndTranslated {
+  std::vector<float> native;
+  std::vector<float> translated;
+  std::string translated_source;
+};
+
+StatusOr<NativeAndTranslated> RunNativeAndTranslated(
+    const std::string& src, Dialect dialect, const std::vector<float>& in) {
   DiagnosticEngine diags;
-  auto tr = translator::TranslateOpenClToCuda(src, diags);
+  auto tr = dialect == Dialect::kOpenCL
+                ? translator::TranslateOpenClToCuda(src, diags)
+                : translator::TranslateCudaToOpenCl(src, diags);
   if (!tr.ok())
     return Status(tr.status().code(),
                   tr.status().message() + "\n" + diags.ToString());
@@ -49,8 +58,7 @@ StatusOr<std::pair<std::vector<float>, std::vector<float>>> RunBoth(
                               device.vm().AllocGlobal(8 * 4));
     BRIDGECL_ASSIGN_OR_RETURN(uint64_t in_va,
                               device.vm().AllocGlobal(8 * 4));
-    float in[8] = {1.5f, -2.25f, 3.0f, 4.5f, -5.0f, 6.75f, 7.0f, 8.5f};
-    std::memcpy(*device.vm().Resolve(in_va, 32), in, 32);
+    std::memcpy(*device.vm().Resolve(in_va, 32), in.data(), 32);
     interp::LaunchConfig cfg;
     cfg.grid = Dim3(1);
     cfg.block = Dim3(1);
@@ -62,9 +70,27 @@ StatusOr<std::pair<std::vector<float>, std::vector<float>>> RunBoth(
     std::memcpy(out.data(), *device.vm().Resolve(out_va, 32), 32);
     return out;
   };
-  BRIDGECL_ASSIGN_OR_RETURN(auto a, run(src, Dialect::kOpenCL));
-  BRIDGECL_ASSIGN_OR_RETURN(auto b, run(tr->source, Dialect::kCUDA));
-  return std::make_pair(a, b);
+  NativeAndTranslated r;
+  BRIDGECL_ASSIGN_OR_RETURN(r.native, run(src, dialect));
+  const Dialect other =
+      dialect == Dialect::kOpenCL ? Dialect::kCUDA : Dialect::kOpenCL;
+  BRIDGECL_ASSIGN_OR_RETURN(r.translated, run(tr->source, other));
+  r.translated_source = tr->source;
+  return r;
+}
+
+/// OpenCL kernel body, run natively and after CL→CU translation.
+StatusOr<std::pair<std::vector<float>, std::vector<float>>> RunBoth(
+    const std::string& body) {
+  std::string src =
+      "__kernel void k(__global float* out, __global float* in) {\n" + body +
+      "\n}";
+  BRIDGECL_ASSIGN_OR_RETURN(
+      NativeAndTranslated r,
+      RunNativeAndTranslated(
+          src, Dialect::kOpenCL,
+          {1.5f, -2.25f, 3.0f, 4.5f, -5.0f, 6.75f, 7.0f, 8.5f}));
+  return std::make_pair(r.native, r.translated);
 }
 
 struct BuiltinCase {
@@ -132,6 +158,126 @@ TEST_P(BuiltinTranslationTest, SameValueAfterTranslation) {
   auto r = RunBoth(GetParam().body);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->first, r->second);
+}
+
+// ===========================================================================
+// Registry-driven: every math and integer row of the builtin catalog
+// computes a bit-identical value natively and after translation, in each
+// dialect the row is legal in; the translation spells the row's
+// counterpart.
+// ===========================================================================
+
+struct RowCase {
+  const lang::BuiltinInfo* row;
+  Dialect dialect;
+};
+
+std::vector<RowCase> MathAndIntRows() {
+  std::vector<RowCase> out;
+  for (const lang::BuiltinInfo& row : lang::BuiltinTable()) {
+    if (row.cls != lang::BuiltinClass::kMath &&
+        row.cls != lang::BuiltinClass::kIntOps)
+      continue;
+    if (row.in_opencl) out.push_back({&row, Dialect::kOpenCL});
+    if (row.in_cuda) out.push_back({&row, Dialect::kCUDA});
+  }
+  return out;
+}
+
+class BuiltinRowTest : public ::testing::TestWithParam<RowCase> {};
+
+TEST_P(BuiltinRowTest, BitIdenticalAfterTranslation) {
+  const lang::BuiltinInfo& row = *GetParam().row;
+  const Dialect d = GetParam().dialect;
+  // Integer functions get ints; the rest floats inside every math
+  // function's domain.
+  bool ints = row.cls == lang::BuiltinClass::kIntOps &&
+              row.op != lang::BuiltinOp::kMix;
+  std::string call = std::string(row.name) + "(";
+  for (int i = 0; i < row.min_args; ++i) {
+    if (i > 0) call += ", ";
+    call += ints ? "(int)in[" + std::to_string(4 + i) + "]"
+                 : "in[" + std::to_string(i) + "]";
+  }
+  call += ")";
+  std::string src =
+      std::string(d == Dialect::kOpenCL
+                      ? "__kernel void k(__global float* out, "
+                        "__global float* in) {"
+                      : "__global__ void k(float* out, float* in) {") +
+      " out[0] = (float)(" + call + "); }";
+  auto r = RunNativeAndTranslated(
+      src, d, {0.5f, 0.25f, 0.75f, 2.0f, -7.0f, 3.0f, 5.0f, 1.0f});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(std::memcmp(r->native.data(), r->translated.data(), 32), 0)
+      << src << "\n" << r->translated_source;
+  const char* spelled = row.counterpart != nullptr ? row.counterpart
+                        : row.in_opencl && row.in_cuda ? row.name
+                                                       : nullptr;
+  if (spelled != nullptr) {
+    EXPECT_NE(r->translated_source.find(std::string(spelled) + "("),
+              std::string::npos)
+        << r->translated_source;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, BuiltinRowTest, ::testing::ValuesIn(MathAndIntRows()),
+    [](const auto& info) {
+      return std::string(info.param.dialect == Dialect::kOpenCL ? "cl_"
+                                                                : "cu_") +
+             info.param.row->name;
+    });
+
+TEST(BuiltinRegistry, HardwareSpecificRowsAreNoCorrespondingFunctions) {
+  int checked = 0;
+  for (const lang::BuiltinInfo& row : lang::BuiltinTable()) {
+    if (!row.hw_specific) continue;
+    EXPECT_TRUE(row.in_cuda && !row.in_opencl && row.counterpart == nullptr)
+        << row.name;
+    std::string use;
+    if (lang::FindBuiltinVariable(row.name, Dialect::kCUDA)) {
+      use = std::string("out[0] = ") + row.name + ";";
+    } else {
+      use = std::string(row.name) + "(";
+      for (int i = 0; i < row.min_args; ++i)
+        use += i > 0 ? ", out[0]" : "out[0]";
+      use += ");";
+    }
+    std::string src = "__global__ void k(int* out) { " + use + " }\n";
+    DiagnosticEngine diags;
+    auto tr = translator::TranslateCudaToOpenCl(src, diags);
+    ASSERT_FALSE(tr.ok()) << src;
+    EXPECT_EQ(tr.status().code(), StatusCode::kUntranslatable) << src;
+    auto c = translator::ClassifyCudaApplication(src);
+    EXPECT_FALSE(c.translatable) << src;
+    EXPECT_EQ(c.Categories(),
+              std::vector<translator::FailureCategory>{
+                  translator::FailureCategory::kNoCorrespondingFunctions})
+        << src;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 12);
+}
+
+TEST(BuiltinRegistry, CounterpartsResolveInTheOtherDialect) {
+  for (const lang::BuiltinInfo& row : lang::BuiltinTable()) {
+    if (row.in_opencl && row.in_cuda) {
+      EXPECT_EQ(row.counterpart, nullptr) << row.name;
+      continue;
+    }
+    const Dialect other = row.in_opencl ? Dialect::kCUDA : Dialect::kOpenCL;
+    if (row.counterpart != nullptr) {
+      EXPECT_TRUE(lang::FindBuiltinFunction(row.counterpart, other) ||
+                  lang::FindBuiltinVariable(row.counterpart, other))
+          << row.name << " -> " << row.counterpart;
+    }
+    if (row.wrapped) {
+      lang::BuiltinRef w = lang::FindBuiltinFunction(
+          std::string(lang::kWrapperPrefix) + row.name, Dialect::kCUDA);
+      EXPECT_TRUE(w && w.wrapped && w.op() == row.op) << row.name;
+    }
+  }
 }
 
 // ===========================================================================
