@@ -8,8 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 
 #include "interp/image.h"
 #include "interp/value.h"
@@ -68,6 +67,11 @@ namespace {
 constexpr size_t kPrivateBytesPerItem = 64 * 1024;
 constexpr size_t kFiberStackBytes = 256 * 1024;
 constexpr int kMaxCallDepth = 64;
+// A device call also needs the work-item's fiber to have host stack for
+// one more call level as large as the caller's, plus this much for leaf
+// work, so deep recursion fails with a status in every build (sanitizer
+// frames are ten times larger) instead of overrunning the stack.
+constexpr size_t kCallStackCushion = 8 * 1024;
 
 /// Location of an assignable value.
 struct LV {
@@ -79,10 +83,18 @@ struct LV {
   std::vector<int> swizzle;  // component selection on a vector location
 };
 
+LV MemLv(uint64_t va, Type::Ptr type) {
+  LV lv;
+  lv.kind = LV::Kind::kMem;
+  lv.va = va;
+  lv.type = std::move(type);
+  return lv;
+}
+
 enum class FlowKind { kNormal, kReturn, kBreak, kContinue };
 
 /// State shared by all work-items of one launch. The block-parallel
-/// engine copies this once per worker (rebasing the shared/private VAs to
+/// engine copies this once per worker (rebasing the dynamic shared VAs to
 /// the worker's VM slot) and then points `stats` at a fresh per-block
 /// accumulator before each block, so workers never touch the device's
 /// shared counters during execution.
@@ -93,7 +105,6 @@ struct LaunchState {
   LaunchConfig cfg;
   Dialect dialect = Dialect::kOpenCL;
 
-  std::unordered_map<const VarDecl*, uint64_t> shared_va;  // static __local
   uint64_t dynamic_shared_va = 0;  // CUDA extern __shared__ area
   size_t shared_total = 0;
   std::vector<Value> arg_values;   // decoded per param (dyn-local → pointer)
@@ -104,41 +115,6 @@ struct LaunchState {
   int slot = 0;  // VM worker slot owning this state's shared/private VAs
   simgpu::DeviceStats* stats = nullptr;  // per-block accumulation sink
 };
-
-/// Collect every __local/__shared__ variable declared in a statement tree.
-void CollectSharedVars(const Stmt* s, std::vector<const VarDecl*>* out) {
-  if (s == nullptr) return;
-  switch (s->kind) {
-    case StmtKind::kCompound:
-      for (const auto& st : s->As<CompoundStmt>()->body)
-        CollectSharedVars(st.get(), out);
-      return;
-    case StmtKind::kDecl:
-      for (const auto& v : s->As<DeclStmt>()->vars)
-        if (v->quals.space == AddressSpace::kLocal) out->push_back(v.get());
-      return;
-    case StmtKind::kIf: {
-      const auto* i = s->As<IfStmt>();
-      CollectSharedVars(i->then_stmt.get(), out);
-      CollectSharedVars(i->else_stmt.get(), out);
-      return;
-    }
-    case StmtKind::kFor: {
-      const auto* f = s->As<ForStmt>();
-      CollectSharedVars(f->init.get(), out);
-      CollectSharedVars(f->body.get(), out);
-      return;
-    }
-    case StmtKind::kWhile:
-      CollectSharedVars(s->As<WhileStmt>()->body.get(), out);
-      return;
-    case StmtKind::kDo:
-      CollectSharedVars(s->As<lang::DoStmt>()->body.get(), out);
-      return;
-    default:
-      return;
-  }
-}
 
 class Evaluator {
  public:
@@ -155,9 +131,11 @@ class Evaluator {
   double cycles() const { return cycles_; }
 
   Status Run() {
-    frames_.emplace_back();
-    frames_.back().stack_top = private_top_;
-    BRIDGECL_RETURN_IF_ERROR(BindKernelParams());
+    frames_.push_back({L_.kernel, std::vector<Slot>(L_.kernel->frame_slots),
+                       L_.group->StackLeft()});
+    for (size_t i = 0; i < L_.kernel->params.size(); ++i)
+      BRIDGECL_RETURN_IF_ERROR(
+          BindVar(L_.kernel->params[i].get(), L_.arg_values[i]));
     auto flow = Exec(*L_.kernel->body);
     if (!flow.ok()) return flow.status();
     frames_.pop_back();
@@ -165,14 +143,71 @@ class Evaluator {
   }
 
  private:
+  /// One variable of a frame, indexed by the slot sema gave it. A
+  /// register variable holds its Value; a memory-backed (private or
+  /// shared) variable and a reference parameter hold their location.
+  struct Slot {
+    enum class Kind : uint8_t { kUnbound, kReg, kMem, kRef };
+    Kind kind = Kind::kUnbound;
+    Value reg;  // kReg
+    LV lv;      // kMem, kRef
+  };
+  /// Sized once per call, so a callee may hold an LV into a caller's slot.
   struct Frame {
-    std::unordered_map<const VarDecl*, Value> regs;
-    std::unordered_map<const VarDecl*, uint64_t> mem;
-    std::unordered_map<const VarDecl*, LV> refs;
-    uint64_t stack_top = 0;
+    const FunctionDecl* fn;
+    std::vector<Slot> slots;
+    size_t stack_left;  // host stack free when the call was made
   };
 
   Frame& frame() { return frames_.back(); }
+
+  /// Where a variable lives: its slot in the current frame or, for a
+  /// module-scope variable (no slot), a scratch entry at its address.
+  /// Sema scopes names per function, so no caller frame is searched.
+  StatusOr<Slot*> Locate(const DeclRefExpr& r) {
+    const VarDecl* var = r.var;
+    std::vector<Slot>& slots = frame().slots;
+    if (var->slot < 0) {
+      if (uint64_t va = L_.module->VaOf(var)) {
+        module_var_.kind = Slot::Kind::kMem;
+        module_var_.lv = MemLv(va, var->type);
+        return &module_var_;
+      }
+    } else if (static_cast<size_t>(var->slot) < slots.size() &&
+               slots[var->slot].kind != Slot::Kind::kUnbound) {
+      return &slots[var->slot];
+    }
+    return Err("unbound variable '" + r.name + "'");
+  }
+
+  /// Aggregates and address-taken variables live in addressable memory.
+  static bool NeedsMem(const VarDecl* var, const Type::Ptr& t) {
+    return var->address_taken || (t && (t->is_struct() || t->is_array()));
+  }
+
+  void BindMem(const VarDecl* var, uint64_t va) {
+    Slot& s = frame().slots[var->slot];
+    s.kind = Slot::Kind::kMem;
+    s.lv = MemLv(va, var->type);
+  }
+
+  void BindReg(const VarDecl* var, Value v) {
+    Slot& s = frame().slots[var->slot];
+    s.kind = Slot::Kind::kReg;
+    s.reg = std::move(v);
+  }
+
+  /// Private storage for memory-backed `var` of type `t`, allocated the
+  /// first time its declaration runs in this frame and reused when a loop
+  /// runs it again, so loop-body locals do not grow the stack.
+  StatusOr<uint64_t> PrivateMem(const VarDecl* var, const Type::Ptr& t) {
+    const Slot& s = frame().slots[var->slot];
+    if (s.kind == Slot::Kind::kMem) return s.lv.va;
+    BRIDGECL_ASSIGN_OR_RETURN(uint64_t va,
+                              StackAlloc(t->ByteSize(), t->Alignment()));
+    BindMem(var, va);
+    return va;
+  }
 
   Status Err(std::string msg) { return InternalError(std::move(msg)); }
 
@@ -252,29 +287,14 @@ class Evaluator {
     return top;
   }
 
-  // -- kernel parameter binding ---------------------------------------------
-  Status BindKernelParams() {
-    const auto& params = L_.kernel->params;
-    for (size_t i = 0; i < params.size(); ++i) {
-      VarDecl* p = params[i].get();
-      const Value& v = L_.arg_values[i];
-      BRIDGECL_RETURN_IF_ERROR(BindVar(p, v));
-    }
-    return OkStatus();
-  }
-
   /// Bind a value to a variable, spilling aggregates / address-taken
   /// variables to private memory.
   Status BindVar(const VarDecl* var, const Value& v) {
     Type::Ptr t = var->type;
     if (t && t->is_named() && v.type()) t = v.type();  // template params
-    bool needs_mem = var->address_taken ||
-                     (t && (t->is_struct() || t->is_array()));
-    if (needs_mem) {
+    if (NeedsMem(var, t)) {
       size_t size = t->ByteSize();
-      BRIDGECL_ASSIGN_OR_RETURN(uint64_t va,
-                                StackAlloc(size, t->Alignment()));
-      frame().mem[var] = va;
+      BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, PrivateMem(var, t));
       Value stored = v;
       if (!lang::SameType(v.type(), t) && !v.is_aggregate())
         stored = v.ConvertTo(t);
@@ -285,7 +305,7 @@ class Evaluator {
     }
     Value stored = v;
     if (t && !lang::SameType(v.type(), t)) stored = v.ConvertTo(t);
-    frame().regs[var] = std::move(stored);
+    BindReg(var, std::move(stored));
     return OkStatus();
   }
 
@@ -384,27 +404,24 @@ class Evaluator {
 
   Status ExecVarDecl(const VarDecl* var) {
     // Static __local/__shared__ variables: bound to the block's shared
-    // region at the pre-computed offset; initialization is not allowed in
-    // either model, and the extern dynamic variable maps to the dynamic
-    // area start.
+    // region at the offset sema laid out for the launched kernel;
+    // initialization is not allowed in either model, and the extern
+    // dynamic variable maps to the dynamic area start.
     if (var->quals.space == AddressSpace::kLocal) {
       if (var->quals.is_extern) {
-        frame().mem[var] = L_.dynamic_shared_va;
-        return OkStatus();
-      }
-      auto it = L_.shared_va.find(var);
-      if (it == L_.shared_va.end())
+        BindMem(var, L_.dynamic_shared_va);
+      } else if (var->shared_offset >= 0 && frame().fn == L_.kernel) {
+        BindMem(var, L_.device->vm().shared_base(L_.slot) +
+                         static_cast<uint64_t>(var->shared_offset));
+      } else {
         return Err("unlaid-out shared variable '" + var->name + "'");
-      frame().mem[var] = it->second;
+      }
       return OkStatus();
     }
     Type::Ptr t = var->type;
-    bool needs_mem =
-        var->address_taken || (t && (t->is_struct() || t->is_array()));
-    if (needs_mem) {
+    if (NeedsMem(var, t)) {
       size_t size = t->ByteSize();
-      BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, StackAlloc(size, t->Alignment()));
-      frame().mem[var] = va;
+      BRIDGECL_ASSIGN_OR_RETURN(uint64_t va, PrivateMem(var, t));
       BRIDGECL_ASSIGN_OR_RETURN(std::byte * p,
                                 L_.device->vm().Resolve(va, size));
       std::memset(p, 0, size);
@@ -430,12 +447,8 @@ class Evaluator {
     Value init;
     if (var->init) {
       BRIDGECL_ASSIGN_OR_RETURN(init, Eval(*var->init));
-      if (t && t->is_named() && init.type()) {
-        // Template-typed local: adopt the runtime type.
-        frame().regs[var] = std::move(init);
-        return OkStatus();
-      }
-      init = init.ConvertTo(t);
+      // A template-typed local adopts the runtime type.
+      if (!t || !t->is_named() || !init.type()) init = init.ConvertTo(t);
     } else {
       // Zero-initialized register (deterministic simulation).
       if (t && t->is_vector()) {
@@ -444,7 +457,7 @@ class Evaluator {
         init = Value::Int(0).ConvertTo(t ? t : Type::IntTy());
       }
     }
-    frame().regs[var] = std::move(init);
+    BindReg(var, std::move(init));
     return OkStatus();
   }
 
@@ -456,33 +469,12 @@ class Evaluator {
         const VarDecl* var = r->var;
         if (var == nullptr)
           return Err("assignment to non-variable '" + r->name + "'");
-        // Reference parameter: indirect through the recorded LV.
-        for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-          if (auto f = it->refs.find(var); f != it->refs.end())
-            return f->second;
-          if (auto f = it->mem.find(var); f != it->mem.end()) {
-            LV lv;
-            lv.kind = LV::Kind::kMem;
-            lv.va = f->second;
-            lv.type = var->type;
-            return lv;
-          }
-          if (auto f = it->regs.find(var); f != it->regs.end()) {
-            LV lv;
-            lv.kind = LV::Kind::kReg;
-            lv.reg = &f->second;
-            lv.type = f->second.type() ? f->second.type() : var->type;
-            return lv;
-          }
-        }
-        if (uint64_t va = L_.module->VaOf(var)) {
-          LV lv;
-          lv.kind = LV::Kind::kMem;
-          lv.va = va;
-          lv.type = var->type;
-          return lv;
-        }
-        return Err("unbound variable '" + r->name + "'");
+        BRIDGECL_ASSIGN_OR_RETURN(Slot * s, Locate(*r));
+        if (s->kind != Slot::Kind::kReg) return s->lv;
+        LV lv;
+        lv.reg = &s->reg;
+        lv.type = s->reg.type() ? s->reg.type() : var->type;
+        return lv;
       }
       case ExprKind::kParen:
         return Lval(*e.As<ParenExpr>()->inner);
@@ -491,14 +483,10 @@ class Evaluator {
         if (u->op != UnaryOp::kDeref)
           return Err("expression is not assignable");
         BRIDGECL_ASSIGN_OR_RETURN(Value p, Eval(*u->operand));
-        LV lv;
-        lv.kind = LV::Kind::kMem;
-        lv.va = p.AsVa();
-        lv.type = e.type ? e.type
-                         : (p.type() && p.type()->is_pointer()
-                                ? p.type()->pointee()
-                                : Type::IntTy());
-        return lv;
+        return MemLv(p.AsVa(), e.type ? e.type
+                               : (p.type() && p.type()->is_pointer()
+                                      ? p.type()->pointee()
+                                      : Type::IntTy()));
       }
       case ExprKind::kIndex: {
         const auto* ix = e.As<IndexExpr>();
@@ -526,11 +514,7 @@ class Evaluator {
           BRIDGECL_ASSIGN_OR_RETURN(Value base, Eval(*ix->base));
           base_va = base.AsVa();
         }
-        LV lv;
-        lv.kind = LV::Kind::kMem;
-        lv.va = base_va + idx.AsI64() * elem->ByteSize();
-        lv.type = elem;
-        return lv;
+        return MemLv(base_va + idx.AsI64() * elem->ByteSize(), elem);
       }
       case ExprKind::kMember: {
         const auto* m = e.As<MemberExpr>();
@@ -560,11 +544,7 @@ class Evaluator {
           return Err("member access on non-struct");
         const lang::StructField* f = agg_t->struct_decl()->FindField(m->member);
         if (f == nullptr) return Err("no field '" + m->member + "'");
-        LV lv;
-        lv.kind = LV::Kind::kMem;
-        lv.va = base_va + f->offset;
-        lv.type = f->type;
-        return lv;
+        return MemLv(base_va + f->offset, f->type);
       }
       default:
         return Err("expression is not assignable");
@@ -726,31 +706,15 @@ class Evaluator {
 
   StatusOr<Value> EvalDeclRef(const DeclRefExpr& r) {
     if (r.var != nullptr) {
-      const VarDecl* var = r.var;
-      for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-        if (auto f = it->refs.find(var); f != it->refs.end())
-          return Read(f->second);
-        if (auto f = it->mem.find(var); f != it->mem.end()) {
-          Type::Ptr t = var->type;
-          // Arrays decay to a pointer to their first element.
-          if (t && t->is_array()) {
-            AddressSpace sp = var->quals.space;
-            return Value::Pointer(f->second,
-                                  Type::Pointer(t->element(), sp));
-          }
-          return LoadMem(f->second, t);
-        }
-        if (auto f = it->regs.find(var); f != it->regs.end())
-          return f->second;
-      }
-      if (uint64_t va = L_.module->VaOf(var)) {
-        Type::Ptr t = var->type;
-        if (t && t->is_array())
-          return Value::Pointer(va, Type::Pointer(t->element(),
-                                                  var->quals.space));
-        return LoadMem(va, t);
-      }
-      return Err("unbound variable '" + r.name + "'");
+      BRIDGECL_ASSIGN_OR_RETURN(Slot * s, Locate(r));
+      if (s->kind == Slot::Kind::kReg) return s->reg;
+      if (s->kind == Slot::Kind::kRef) return Read(s->lv);
+      // Arrays decay to a pointer to their first element.
+      const Type::Ptr& t = r.var->type;
+      if (t && t->is_array())
+        return Value::Pointer(s->lv.va,
+                              Type::Pointer(t->element(), r.var->quals.space));
+      return LoadMem(s->lv.va, t);
     }
     // CUDA built-in index variables and named constants.
     if (r.builtin) {
@@ -913,15 +877,17 @@ class Evaluator {
       *err = InternalError("division by zero in kernel");
       return out;
     };
+    // Integer +, -, * wrap in uint64_t: the same bits as two's-complement
+    // int64_t arithmetic, without signed-overflow UB.
     switch (op) {
       case BinaryOp::kAdd:
-        if (flt) out.f = a.f + b.f; else out.i = a.i + b.i;
+        if (flt) out.f = a.f + b.f; else out.u = a.u + b.u;
         return out;
       case BinaryOp::kSub:
-        if (flt) out.f = a.f - b.f; else out.i = a.i - b.i;
+        if (flt) out.f = a.f - b.f; else out.u = a.u - b.u;
         return out;
       case BinaryOp::kMul:
-        if (flt) out.f = a.f * b.f; else out.i = a.i * b.i;
+        if (flt) out.f = a.f * b.f; else out.u = a.u * b.u;
         return out;
       case BinaryOp::kDiv:
         if (flt) {
@@ -1102,34 +1068,32 @@ class Evaluator {
   }
 
   StatusOr<Value> CallFunction(const FunctionDecl* fn, const CallExpr& c) {
-    if (static_cast<int>(frames_.size()) > kMaxCallDepth)
+    size_t left = L_.group->StackLeft();
+    size_t level = frame().stack_left - left;  // host stack of this call
+    if (static_cast<int>(frames_.size()) > kMaxCallDepth ||
+        left < level + kCallStackCushion)
       return Err("device call stack overflow (recursion too deep)");
     if (c.args.size() != fn->params.size())
       return Err("wrong argument count calling '" + fn->name + "'");
-    Frame new_frame;
-    new_frame.stack_top = private_top_;
-    // Evaluate arguments in the caller's frame.
+    // Evaluate arguments in the caller's frame; reference parameters bind
+    // to the argument's location right away.
+    Frame callee{fn, std::vector<Slot>(fn->frame_slots), left};
     std::vector<Value> vals(c.args.size());
-    std::vector<LV> ref_lvs(c.args.size());
-    std::vector<bool> is_ref(c.args.size(), false);
     for (size_t i = 0; i < c.args.size(); ++i) {
-      bool by_ref = i < fn->param_is_reference.size() &&
-                    fn->param_is_reference[i];
-      if (by_ref) {
-        BRIDGECL_ASSIGN_OR_RETURN(ref_lvs[i], Lval(*c.args[i]));
-        is_ref[i] = true;
+      if (i < fn->param_is_reference.size() && fn->param_is_reference[i]) {
+        Slot& s = callee.slots[fn->params[i]->slot];
+        s.kind = Slot::Kind::kRef;
+        BRIDGECL_ASSIGN_OR_RETURN(s.lv, Lval(*c.args[i]));
       } else {
         BRIDGECL_ASSIGN_OR_RETURN(vals[i], Eval(*c.args[i]));
       }
     }
     uint64_t saved_top = private_top_;
-    frames_.push_back(std::move(new_frame));
+    frames_.push_back(std::move(callee));
     for (size_t i = 0; i < c.args.size(); ++i) {
-      if (is_ref[i]) {
-        frame().refs[fn->params[i].get()] = ref_lvs[i];
-      } else {
-        BRIDGECL_RETURN_IF_ERROR(BindVar(fn->params[i].get(), vals[i]));
-      }
+      const VarDecl* p = fn->params[i].get();
+      if (frame().slots[p->slot].kind != Slot::Kind::kRef)
+        BRIDGECL_RETURN_IF_ERROR(BindVar(p, vals[i]));
     }
     ret_ = Value::Void();
     auto flow = Exec(*fn->body);
@@ -1213,6 +1177,7 @@ class Evaluator {
   uint64_t private_top_ = 0;
   double cycles_ = 0;
   std::vector<Frame> frames_;
+  Slot module_var_;  // Locate's entry for a module-scope variable
   Value ret_;
 
  public:
@@ -1813,7 +1778,9 @@ class HazardScanner {
   }
 
  private:
-  using Env = std::unordered_map<const VarDecl*, Prov>;
+  /// Provenance per frame slot of the function being scanned; a slot not
+  /// yet bound (or a module-scope variable) reads as unknown if a pointer.
+  using Env = std::vector<std::optional<Prov>>;
 
   GlobalAccessSummary sum_;
   std::vector<const FunctionDecl*> call_stack_;
@@ -1828,18 +1795,18 @@ class HazardScanner {
       return;
     }
     call_stack_.push_back(fn);
-    Env env;
+    Env env(fn->frame_slots);
     for (size_t i = 0; i < fn->params.size() && i < param_prov.size(); ++i)
-      env[fn->params[i].get()] = param_prov[i];
+      env[fn->params[i]->slot] = param_prov[i];
     bool outer_record = record_;
     // Propagate provenance through local pointer vars to a fixpoint
-    // without recording, then one recording pass.
+    // without recording, then one recording pass. Entries only grow in a
+    // finite lattice (64-bit mask plus the unknown flag), so this ends.
     record_ = false;
-    for (int round = 0; round < 4; ++round) {
+    do {
       changed_ = false;
       ScanStmt(fn->body.get(), env);
-      if (!changed_) break;
-    }
+    } while (changed_);
     record_ = true;
     ScanStmt(fn->body.get(), env);
     record_ = outer_record;
@@ -1847,12 +1814,12 @@ class HazardScanner {
   }
 
   void Bind(Env& env, const VarDecl* var, const Prov& p) {
-    Prov& slot = env[var];
-    Prov merged = UnionProv(slot, p);
-    if (merged.mask != slot.mask || merged.unknown != slot.unknown) {
-      slot = merged;
+    if (var->slot < 0) return;  // module scope: stays unknown
+    Prov old = env[var->slot].value_or(Prov{});
+    Prov merged = UnionProv(old, p);
+    env[var->slot] = merged;
+    if (merged.mask != old.mask || merged.unknown != old.unknown)
       changed_ = true;
-    }
   }
 
   static bool IsPointer(const Expr* e) {
@@ -1916,11 +1883,8 @@ class HazardScanner {
     switch (e->kind) {
       case ExprKind::kDeclRef: {
         const auto* r = e->As<DeclRefExpr>();
-        if (r->var == nullptr) return IsPointer(e) ? Prov{0, true} : Prov{};
-        auto it = env.find(r->var);
-        if (it != env.end()) return it->second;
-        // Not a local of this function: a module-scope pointer, or a
-        // first-pass use before its decl has been scanned.
+        if (r->var != nullptr && r->var->slot >= 0 && env[r->var->slot])
+          return *env[r->var->slot];
         return IsPointer(e) ? Prov{0, true} : Prov{};
       }
       case ExprKind::kUnary: {
@@ -2275,18 +2239,11 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
   L.cfg = config;
   L.dialect = module.dialect();
 
-  // ---- shared-memory layout: static __local vars, then dynamic-local
-  // arguments (OpenCL §4.1), then the CUDA extern __shared__ area. ----
-  std::vector<const VarDecl*> shared_vars;
-  CollectSharedVars(kernel->body.get(), &shared_vars);
-  size_t offset = 0;
+  // ---- shared-memory layout: static __local vars (laid out by sema),
+  // then dynamic-local arguments (OpenCL §4.1), then the CUDA extern
+  // __shared__ area. ----
+  size_t offset = kernel->static_shared_bytes;
   auto align_to = [&](size_t a) { offset = (offset + a - 1) / a * a; };
-  for (const VarDecl* v : shared_vars) {
-    if (v->quals.is_extern) continue;
-    align_to(std::max<size_t>(v->type->Alignment(), 1));
-    L.shared_va[v] = device.vm().shared_base() + offset;
-    offset += v->type->ByteSize();
-  }
 
   // ---- bind arguments ----
   L.arg_values.resize(args.size());
@@ -2394,7 +2351,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
     W.slot = w;
     uint64_t delta = device.vm().shared_base(w) - device.vm().shared_base(0);
     if (delta != 0) {
-      for (auto& [var, va] : W.shared_va) va += delta;
       W.dynamic_shared_va += delta;
       for (size_t ai : W.local_arg_indices)
         W.arg_values[ai] = Value::Pointer(W.arg_values[ai].AsVa() + delta,

@@ -354,8 +354,12 @@ struct VarDecl : Decl {
   /// Set by sema when the variable's address is taken (&v); the
   /// interpreter spills such variables to addressable private memory.
   bool address_taken = false;
-  /// Filled by the interpreter's layout pass: frame slot / buffer binding.
+  /// Set by sema: index into the enclosing function's frame (params
+  /// first, then locals in declaration order); -1 at file scope.
   int slot = -1;
+  /// Set by sema for a kernel's static __local/__shared__ variable: byte
+  /// offset in the block's shared region; -1 otherwise.
+  int64_t shared_offset = -1;
 };
 
 struct StructField {
@@ -409,6 +413,10 @@ struct FunctionDecl : Decl {
   /// Parsed from an optional `__launch_bounds__`-style annotation or
   /// estimated by sema from the body.
   int register_estimate = 0;
+  /// Set by sema: frame slots (params + locals) and, for kernels, the
+  /// bytes of static __local/__shared__ variables.
+  int frame_slots = 0;
+  size_t static_shared_bytes = 0;
 };
 
 /// Whole parsed source file.

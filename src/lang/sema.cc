@@ -1,6 +1,6 @@
 #include "lang/sema.h"
 
-#include <cassert>
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -114,7 +114,6 @@ class Sema {
   std::vector<Scope> scopes_;
   FunctionDecl* current_fn_ = nullptr;
   std::unordered_map<std::string, TextureRefDecl*> textures_;
-  int local_var_count_ = 0;
 };
 
 Status Sema::LayoutStruct(StructDecl* sd) {
@@ -211,17 +210,20 @@ void Sema::EstimateRegisters(FunctionDecl* fn) {
   // private scalars. Drives the occupancy computation in simgpu. Kernels
   // can override via a `__launch_bounds__`-style table at module build
   // time; this estimate is the default.
-  int regs = 10 + 2 * local_var_count_ + static_cast<int>(fn->params.size());
+  int params = static_cast<int>(fn->params.size());
+  int regs = 10 + 2 * (fn->frame_slots - params) + params;
   fn->register_estimate = regs;
 }
 
 Status Sema::AnalyzeFunction(FunctionDecl* fn) {
   current_fn_ = fn;
-  local_var_count_ = 0;
+  fn->frame_slots = 0;
+  fn->static_shared_bytes = 0;
   InferKernelParamSpaces(fn);
   Push();
   for (auto& p : fn->params) {
     p->is_param = true;
+    p->slot = fn->frame_slots++;
     BRIDGECL_RETURN_IF_ERROR(CheckTypeAllowed(p->loc, p->type));
     Bind(p.get());
   }
@@ -233,7 +235,7 @@ Status Sema::AnalyzeFunction(FunctionDecl* fn) {
 }
 
 Status Sema::AnalyzeVarDecl(VarDecl* v) {
-  ++local_var_count_;
+  v->slot = current_fn_->frame_slots++;
   BRIDGECL_RETURN_IF_ERROR(CheckTypeAllowed(v->loc, v->type));
   if (v->init) {
     BRIDGECL_RETURN_IF_ERROR(AnalyzeExpr(v->init.get()));
@@ -246,6 +248,16 @@ Status Sema::AnalyzeVarDecl(VarDecl* v) {
       v->type =
           Type::Pointer(v->type->pointee(), v->init->type->pointee_space());
     }
+  }
+  // A kernel's static shared variables are laid out in declaration order,
+  // each at its natural alignment (dynamic allocations follow the total).
+  if (current_fn_->quals.is_kernel && v->quals.space == AddressSpace::kLocal &&
+      !v->quals.is_extern) {
+    size_t a = std::max<size_t>(v->type->Alignment(), 1);
+    size_t& top = current_fn_->static_shared_bytes;
+    top = (top + a - 1) / a * a;
+    v->shared_offset = static_cast<int64_t>(top);
+    top += v->type->ByteSize();
   }
   Bind(v);
   return OkStatus();

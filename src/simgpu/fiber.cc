@@ -3,6 +3,7 @@
 #include <ucontext.h>
 
 #include <cassert>
+#include <cstdint>
 
 namespace bridgecl::simgpu {
 
@@ -50,6 +51,14 @@ FiberGroup::FiberGroup(size_t stack_bytes) : impl_(std::make_unique<Impl>()) {
 FiberGroup::~FiberGroup() = default;
 
 bool FiberGroup::InFiber() const { return impl_->in_fiber; }
+
+size_t FiberGroup::StackLeft() const {
+  if (!impl_->in_fiber) return SIZE_MAX;
+  // Stacks grow down from the end of the fiber's buffer.
+  const char* low = impl_->fibers[impl_->current].stack.data();
+  const char* sp = static_cast<const char*>(__builtin_frame_address(0));
+  return sp > low ? static_cast<size_t>(sp - low) : 0;
+}
 
 void FiberGroup::Barrier() {
   assert(impl_->in_fiber && "Barrier() outside of a running work-item");

@@ -9,6 +9,7 @@
 // barriers degenerates to plain sequential execution.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -44,6 +45,10 @@ class FiberGroup {
 
   /// True while called from inside a task (barrier is only legal then).
   bool InFiber() const;
+
+  /// Bytes of the running task's stack still free below the caller;
+  /// SIZE_MAX outside a task.
+  size_t StackLeft() const;
 
   struct Impl;  // public so the ucontext trampoline can reach it
 

@@ -756,6 +756,138 @@ TEST_F(InterpTest, OutOfRangeDimindx) {
             (std::vector<int>{1, 1, 1, 1, 0, 0, 0, 0, 2, 3}));
 }
 
+// -- variable binding: sema-assigned frame slots ----------------------------
+
+class BindingTest : public InterpTest {
+ protected:
+  /// Runs kernel `k` of `src` as one work-item whose first argument is an
+  /// int buffer of `count` elements, followed by `extra`.
+  StatusOr<std::vector<int>> RunOne(const std::string& src, Dialect d,
+                                    size_t count,
+                                    std::vector<KernelArg> extra = {}) {
+    auto m = Compile(src, d);
+    if (m == nullptr) return InternalError("compile failed");
+    uint64_t vo = Alloc(count * 4);
+    std::vector<KernelArg> args = {KernelArg::Pointer(vo)};
+    for (KernelArg& a : extra) args.push_back(std::move(a));
+    LaunchConfig cfg;
+    cfg.grid = Dim3(1);
+    cfg.block = Dim3(1);
+    auto r = LaunchKernel(device_, *m, "k", cfg, args);
+    if (!r.ok()) return r.status();
+    return ReadBuf<int>(vo, count);
+  }
+};
+
+TEST_F(BindingTest, LoopLocalArrayReusesItsStorage) {
+  // 5000 iterations of a 16-byte array would exhaust the 64 KiB of
+  // private memory if every iteration allocated afresh; each iteration
+  // also sees the array zeroed again.
+  const char* src =
+      "__kernel void k(__global int* out, int n) {"
+      "  int s = 0;"
+      "  for (int i = 0; i < n; ++i) {"
+      "    int t[4];"
+      "    s += t[1];"
+      "    t[1] = 7;"
+      "    t[3] = i & 1;"
+      "    s += t[3];"
+      "  }"
+      "  out[0] = s;"
+      "}";
+  for (int n : {100, 5000}) {
+    auto out = RunOne(src, Dialect::kOpenCL, 1, {KernelArg::Value<int>(n)});
+    ASSERT_TRUE(out.ok()) << "n=" << n << ": " << out.status().ToString();
+    EXPECT_EQ((*out)[0], n / 2);
+  }
+}
+
+TEST_F(BindingTest, LoopAddressTakenScalarReusesItsStorage) {
+  auto out = RunOne(
+      "__global__ void k(int* out, int n) {"
+      "  int s = 0;"
+      "  for (int i = 0; i < n; ++i) {"
+      "    int x = i;"
+      "    int* px = &x;"
+      "    *px = *px + 1;"
+      "    s += x;"
+      "  }"
+      "  out[0] = s;"
+      "}",
+      Dialect::kCUDA, 1, {KernelArg::Value<int>(20000)});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0], 20000 * 20001 / 2);
+}
+
+TEST_F(BindingTest, RecursionKeepsALocalArrayPerFrame) {
+  auto out = RunOne(
+      "__device__ int fact(int n) {"
+      "  int buf[2];"
+      "  buf[0] = n;"
+      "  if (n <= 1) return 1;"
+      "  buf[1] = fact(n - 1);"
+      "  return buf[0] * buf[1];"
+      "}"
+      "__global__ void k(int* out) { out[0] = fact(6); }",
+      Dialect::kCUDA, 1);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0], 720);
+}
+
+TEST_F(BindingTest, ChainedReferenceParams) {
+  // A reference parameter passed on by reference reaches the caller's
+  // int, array element, struct member and vector component.
+  auto out = RunOne(
+      "struct S { int a; int b; };"
+      "__device__ void inc(int& x) { x += 1; }"
+      "__device__ void inc2(int& y) { inc(y); inc(y); }"
+      "__global__ void k(int* out) {"
+      "  int v = 1;"
+      "  inc2(v);"
+      "  int arr[3];"
+      "  arr[1] = 20;"
+      "  inc2(arr[1]);"
+      "  struct S s;"
+      "  s.b = 200;"
+      "  inc2(s.b);"
+      "  int2 q;"
+      "  q.x = -1;"
+      "  inc2(q.x);"
+      "  out[0] = v; out[1] = arr[1]; out[2] = s.b; out[3] = q.x;"
+      "}",
+      Dialect::kCUDA, 4);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, (std::vector<int>{3, 22, 202, 1}));
+}
+
+TEST_F(BindingTest, BlockAndForShadowing) {
+  auto out = RunOne(
+      "__kernel void k(__global int* out) {"
+      "  int x = 1;"
+      "  out[0] = x;"
+      "  { int x = 2; out[1] = x; }"
+      "  for (int x = 20; x < 21; ++x) out[2] = x;"
+      "  out[3] = x;"
+      "}",
+      Dialect::kOpenCL, 4);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(*out, (std::vector<int>{1, 2, 20, 1}));
+}
+
+TEST_F(BindingTest, DeepRecursionReportsCallStackOverflow) {
+  const char* src =
+      "__device__ int down(int n) { return n <= 0 ? 0 : down(n - 1) + 1; }"
+      "__global__ void k(int* out, int n) { out[0] = down(n); }";
+  auto shallow = RunOne(src, Dialect::kCUDA, 1, {KernelArg::Value<int>(4)});
+  ASSERT_TRUE(shallow.ok()) << shallow.status().ToString();
+  EXPECT_EQ((*shallow)[0], 4);
+  auto deep = RunOne(src, Dialect::kCUDA, 1, {KernelArg::Value<int>(100)});
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("device call stack overflow"),
+            std::string::npos)
+      << deep.status().ToString();
+}
+
 /// A builtin called with the wrong number of arguments fails to compile
 /// with a diagnostic naming it, instead of reading past the argument list
 /// at launch time.

@@ -164,6 +164,45 @@ TEST(SemaTest, RegisterEstimateGrowsWithLocals) {
             small->FindFunction("k")->register_estimate);
 }
 
+TEST(SemaTest, FrameSlotsAndStaticSharedLayout) {
+  // Params take slots 0..n-1, locals the next ones in declaration order
+  // (shadowing declarations included); a kernel's static __local
+  // variables get naturally aligned offsets, extern/dynamic ones none.
+  auto tu = Analyzed(
+      "__device__ int f(int x) { int y = x; return y; }"
+      "__global__ void k(float* a, int n) {"
+      "  __shared__ char c[3];"
+      "  int i = 0;"
+      "  { int i = 1; }"
+      "  __shared__ double d;"
+      "  extern __shared__ float dyn[];"
+      "  for (int j = 0; j < n; ++j) { __shared__ int t; }"
+      "}",
+      Dialect::kCUDA);
+  ASSERT_NE(tu, nullptr);
+  const FunctionDecl* f = tu->FindFunction("f");
+  EXPECT_EQ(f->params[0]->slot, 0);
+  EXPECT_EQ(f->frame_slots, 2);
+  EXPECT_EQ(f->static_shared_bytes, 0u);
+  const FunctionDecl* k = tu->FindFunction("k");
+  EXPECT_EQ(k->params[0]->slot, 0);
+  EXPECT_EQ(k->params[1]->slot, 1);
+  EXPECT_EQ(k->frame_slots, 9);
+  std::vector<const VarDecl*> locals;
+  for (const auto& st : k->body->body)
+    if (st->kind == StmtKind::kDecl)
+      locals.push_back(st->As<DeclStmt>()->vars[0].get());
+  ASSERT_EQ(locals.size(), 4u);  // c, i, d, dyn
+  EXPECT_EQ(locals[0]->slot, 2);
+  EXPECT_EQ(locals[0]->shared_offset, 0);
+  EXPECT_EQ(locals[1]->slot, 3);
+  EXPECT_EQ(locals[1]->shared_offset, -1);
+  EXPECT_EQ(locals[2]->slot, 5);  // after the inner `i`
+  EXPECT_EQ(locals[2]->shared_offset, 8);
+  EXPECT_EQ(locals[3]->shared_offset, -1);
+  EXPECT_EQ(k->static_shared_bytes, 20u);  // `t` at 16
+}
+
 TEST(SemaTest, ArithmeticResultTypeRules) {
   auto i = Type::IntTy();
   auto f = Type::FloatTy();

@@ -240,6 +240,63 @@ TEST(ParallelExecTest, GuardedOobFaultIdenticalAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Hazard-scan fixpoint: a pointer chain assigned in reverse order gains
+// one link of provenance per scan round, so the store through `p6` is
+// traced to `a` only in the sixth round. Stopping early would let this
+// in-place shift (each block reads the next block's first element) run
+// in parallel and race.
+// ---------------------------------------------------------------------------
+std::vector<float> RunReversePointerChain(int workers) {
+  constexpr int kN = 4096;
+  ScopedWorkers sw(workers);
+  Device dev(TitanProfile());
+  DiagnosticEngine diags;
+  auto m = interp::Module::Compile(
+      "__kernel void shift(__global float* a, int n) {"
+      "  __global float* p1 = 0;"
+      "  __global float* p2 = 0;"
+      "  __global float* p3 = 0;"
+      "  __global float* p4 = 0;"
+      "  __global float* p5 = 0;"
+      "  __global float* p6 = 0;"
+      "  for (int k = 0; k < 6; ++k) {"
+      "    p6 = p5; p5 = p4; p4 = p3; p3 = p2; p2 = p1; p1 = a;"
+      "  }"
+      "  int i = get_global_id(0);"
+      "  if (i < n) p6[i] = a[i + 1] + 1.0f;"
+      "}",
+      lang::Dialect::kOpenCL, diags);
+  EXPECT_TRUE(m.ok()) << diags.ToString();
+  if (!m.ok() || !(*m)->LoadOn(dev).ok()) return {};
+  auto va = dev.vm().AllocGlobal((kN + 1) * sizeof(float));
+  EXPECT_TRUE(va.ok());
+  if (!va.ok()) return {};
+  std::vector<float> data(kN + 1);
+  for (int i = 0; i <= kN; ++i) data[i] = static_cast<float>(i);
+  std::memcpy(*dev.vm().Resolve(*va, data.size() * sizeof(float)),
+              data.data(), data.size() * sizeof(float));
+  interp::LaunchConfig cfg;
+  cfg.grid = simgpu::Dim3(kN / 64);
+  cfg.block = simgpu::Dim3(64);
+  std::vector<interp::KernelArg> args = {interp::KernelArg::Pointer(*va),
+                                         interp::KernelArg::Value<int>(kN)};
+  auto r = interp::LaunchKernel(dev, **m, "shift", cfg, args);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  std::memcpy(data.data(), *dev.vm().Resolve(*va, data.size() * sizeof(float)),
+              data.size() * sizeof(float));
+  return data;
+}
+
+TEST(ParallelExecTest, HazardScanFollowsLongPointerChains) {
+  std::vector<float> serial = RunReversePointerChain(1);
+  ASSERT_EQ(serial.size(), 4097u);
+  // Blocks in canonical order read a[i + 1] before it is overwritten.
+  EXPECT_EQ(serial[0], 2.0f);
+  EXPECT_EQ(serial[4095], 4097.0f);
+  EXPECT_EQ(serial, RunReversePointerChain(4));
+}
+
+// ---------------------------------------------------------------------------
 // Nth-fault sweep identity: an armed fault plan forces the launch onto
 // the serial path (injection ordinals are defined by canonical execution
 // order), so every ordinal's failure is byte-identical at any requested
