@@ -2356,6 +2356,8 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
         W.arg_values[ai] = Value::Pointer(W.arg_values[ai].AsVa() + delta,
                                           kernel->params[ai]->type);
     }
+    simgpu::FiberGroup group(kFiberStackBytes);
+    W.group = &group;
     for (;;) {
       uint64_t b = next_block.fetch_add(1, std::memory_order_relaxed);
       if (b >= total_blocks) break;
@@ -2383,8 +2385,6 @@ StatusOr<LaunchResult> LaunchKernel(simgpu::Device& device, Module& module,
       device.vm().MapSharedSlot(w, std::max<size_t>(W.shared_total, 1));
       device.vm().MapPrivateSlot(
           w, static_cast<size_t>(block_items) * kPrivateBytesPerItem);
-      simgpu::FiberGroup group(kFiberStackBytes);
-      W.group = &group;
       W.group_id = Dim3(static_cast<uint32_t>(b % config.grid.x),
                         static_cast<uint32_t>((b / config.grid.x) %
                                               config.grid.y),

@@ -616,7 +616,9 @@ std::vector<int> ResolveSwizzle(const std::string& member, int width) {
       if (idx >= width) return {};
       out.push_back(idx);
     }
-    return out.size() <= 16 ? out : std::vector<int>{};
+    // The selection must itself be a vector width (OpenCL 1.2 §6.1.7).
+    size_t n = out.size();
+    return n <= 4 || n == 8 || n == 16 ? out : std::vector<int>{};
   }
   // xyzw sequences (up to 4 components).
   if (member.size() > 4) return {};

@@ -1,7 +1,9 @@
 #include "lang/type.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <iterator>
 
 namespace bridgecl::lang {
 
@@ -94,21 +96,46 @@ const char* AddressSpaceName(AddressSpace s) {
   return "?";
 }
 
+namespace {
+constexpr size_t kScalarKinds = static_cast<size_t>(ScalarKind::kSizeT) + 1;
+constexpr int kVectorWidths[] = {1, 2, 3, 4, 8, 16};
+}  // namespace
+
+// Scalar and vector types are immortal: built once, never freed, and
+// handed out as Ptrs with an empty owner (the aliasing constructor), so
+// they have no control block and copying one never touches a refcount.
 Type::Ptr Type::Scalar(ScalarKind k) {
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kScalar;
-  t->scalar_ = k;
-  return t;
+  static const Ptr* const table = [] {
+    auto* ptrs = new Ptr[kScalarKinds];
+    for (size_t i = 0; i < kScalarKinds; ++i) {
+      auto* t = new Type();
+      t->kind_ = TypeKind::kScalar;
+      t->scalar_ = static_cast<ScalarKind>(i);
+      ptrs[i] = Ptr(Ptr(), t);
+    }
+    return ptrs;
+  }();
+  return table[static_cast<size_t>(k)];
 }
 
 Type::Ptr Type::Vector(ScalarKind elem, int width) {
-  assert(width == 1 || width == 2 || width == 3 || width == 4 || width == 8 ||
-         width == 16);
-  auto t = std::shared_ptr<Type>(new Type());
-  t->kind_ = TypeKind::kVector;
-  t->scalar_ = elem;
-  t->width_ = width;
-  return t;
+  static const Ptr* const table = [] {
+    auto* ptrs = new Ptr[kScalarKinds * std::size(kVectorWidths)];
+    for (size_t i = 0; i < kScalarKinds; ++i)
+      for (size_t w = 0; w < std::size(kVectorWidths); ++w) {
+        auto* t = new Type();
+        t->kind_ = TypeKind::kVector;
+        t->scalar_ = static_cast<ScalarKind>(i);
+        t->width_ = kVectorWidths[w];
+        ptrs[i * std::size(kVectorWidths) + w] = Ptr(Ptr(), t);
+      }
+    return ptrs;
+  }();
+  size_t w = std::find(std::begin(kVectorWidths), std::end(kVectorWidths),
+                       width) -
+             std::begin(kVectorWidths);
+  assert(w < std::size(kVectorWidths));
+  return table[static_cast<size_t>(elem) * std::size(kVectorWidths) + w];
 }
 
 Type::Ptr Type::Pointer(Ptr pointee, AddressSpace pointee_space) {

@@ -69,9 +69,11 @@ enum class TypeKind : uint8_t {
   kNamed,     // unresolved name: template parameter (CUDA C++) or typedef
 };
 
-/// Immutable structural type. Shared (interned per-parse via TypeFactory
-/// below is unnecessary: types are small shared_ptr trees and compared
-/// structurally).
+/// Immutable structural type, compared structurally. Scalar and vector
+/// types are immortal singletons: their Ptrs carry no control block, so
+/// copying one never touches a refcount. Other types are small shared_ptr
+/// trees built per use. Nothing may rely on a Ptr's use_count() or on a
+/// weak_ptr to a type.
 class Type {
  public:
   using Ptr = std::shared_ptr<const Type>;

@@ -6,7 +6,9 @@
 //
 // Implementation: POSIX ucontext fibers with private stacks. The group
 // scheduler runs work-items round-robin between barriers; a group with no
-// barriers degenerates to plain sequential execution.
+// barriers degenerates to plain sequential execution. Stacks come from a
+// per-thread pool: each is mapped once, with a PROT_NONE guard page below
+// it, and reused un-zeroed by every later Run on that thread.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +23,7 @@ namespace bridgecl::simgpu {
 /// Runs `count` tasks as fibers until all complete. Tasks may call
 /// `Barrier()` (from inside the task, via the scheduler pointer handed to
 /// them) any number of times; all live tasks must reach the barrier before
-/// any proceeds. A task returning a non-ok Status aborts the group.
+/// any proceeds. Tasks that already returned do not hold a barrier up.
 class FiberGroup {
  public:
   /// Task receives its index. It may call FiberGroup::Barrier() (through
@@ -34,10 +36,12 @@ class FiberGroup {
   FiberGroup(const FiberGroup&) = delete;
   FiberGroup& operator=(const FiberGroup&) = delete;
 
-  /// Run `count` instances of `task` to completion. Returns the first
-  /// non-ok status produced, or an error if the group deadlocks (some
-  /// fibers wait at a barrier while others already returned — the
-  /// divergent-barrier bug real GPUs hang on).
+  /// Run `count` instances of `task` to completion. A barrier releases
+  /// once every task still running has reached it; tasks that returned
+  /// early are tolerated (guard-banded kernels). Every task runs to the
+  /// end even after one fails; returns the first non-ok status a task
+  /// returned, or kResourceExhausted if a stack cannot be mapped. A task
+  /// may run another FiberGroup (nested groups share the thread's pool).
   Status Run(int count, const Task& task);
 
   /// Called from inside a running task: wait for all live siblings.

@@ -1,6 +1,12 @@
 #include "simgpu/virtual_memory.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <new>
+#include <utility>
 
 #include "simgpu/fault_injector.h"
 #include "support/strings.h"
@@ -92,14 +98,36 @@ void VirtualMemory::MapConstant(size_t bytes) {
   constant_.user_size = constant_.span = bytes;
 }
 void VirtualMemory::MapSharedSlot(int slot, size_t bytes) {
-  Region& r = shared_slots_[static_cast<size_t>(slot)];
-  r.storage.assign(bytes, std::byte{0});
-  r.user_size = r.span = bytes;
+  RemapSlot(shared_slots_[static_cast<size_t>(slot)], bytes);
 }
 void VirtualMemory::MapPrivateSlot(int slot, size_t bytes) {
-  Region& r = private_slots_[static_cast<size_t>(slot)];
-  r.storage.assign(bytes, std::byte{0});
-  r.user_size = r.span = bytes;
+  RemapSlot(private_slots_[static_cast<size_t>(slot)], bytes);
+}
+
+void VirtualMemory::SlotWindow::Unmap::operator()(std::byte* store) const {
+  munmap(store, bytes);
+}
+
+void VirtualMemory::RemapSlot(SlotWindow& w, size_t bytes) {
+  w.span = bytes;
+  if (bytes > w.store.get_deleter().bytes) {
+    // Grow: fresh anonymous pages read as zero and stay non-resident until
+    // a block touches them.
+    size_t capacity = (bytes + kSlotPage - 1) / kSlotPage * kSlotPage;
+    void* store = mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (store == MAP_FAILED) throw std::bad_alloc();
+    w.store = {static_cast<std::byte*>(store), SlotWindow::Unmap{capacity}};
+    w.dirty.assign((capacity / kSlotPage + 63) / 64, 0);
+    return;
+  }
+  for (size_t i = 0; i < w.dirty.size(); ++i) {
+    for (uint64_t bits = std::exchange(w.dirty[i], 0); bits != 0;
+         bits &= bits - 1) {
+      size_t page = i * 64 + static_cast<size_t>(std::countr_zero(bits));
+      std::memset(w.store.get() + page * kSlotPage, 0, kSlotPage);
+    }
+  }
 }
 
 void VirtualMemory::EnsureWorkerSlots(int slots) {
@@ -162,15 +190,22 @@ StatusOr<std::byte*> VirtualMemory::ResolveGlobal(uint64_t va, size_t len) {
       len, static_cast<unsigned long long>(va)));
 }
 
-StatusOr<std::byte*> VirtualMemory::ResolveSlotted(uint64_t va, size_t len,
-                                                   uint64_t seg_base,
-                                                   std::vector<Region>& slots,
-                                                   Segment seg) {
+StatusOr<std::byte*> VirtualMemory::ResolveSlotted(
+    uint64_t va, size_t len, uint64_t seg_base,
+    std::vector<SlotWindow>& slots, Segment seg) {
   uint64_t slot = (va - seg_base) / kWorkerSlotStride;
   uint64_t base = seg_base + slot * kWorkerSlotStride;
   if (slot < slots.size()) {
-    Region& r = slots[static_cast<size_t>(slot)];
-    if (va + len <= base + r.span) return r.storage.data() + (va - base);
+    SlotWindow& r = slots[static_cast<size_t>(slot)];
+    if (va + len <= base + r.span) {
+      size_t off = static_cast<size_t>(va - base);
+      if (len > 0) {
+        for (size_t page = off / kSlotPage, last = (off + len - 1) / kSlotPage;
+             page <= last; ++page)
+          r.dirty[page / 64] |= uint64_t{1} << (page % 64);
+      }
+      return r.store.get() + off;
+    }
     return InternalError(StrFormat(
         "device memory fault: access of %zu bytes at 0x%llx overruns the"
         " %s segment [0x%llx, +%zu)",
@@ -266,8 +301,8 @@ Status VirtualMemory::ImportState(const State& state) {
   // Shared/private windows live only for the duration of one launch (the
   // scheduler executes commands eagerly, so no launch is ever in flight
   // at snapshot time); the next launch remaps them.
-  shared_slots_ = std::vector<Region>(1);
-  private_slots_ = std::vector<Region>(1);
+  shared_slots_ = std::vector<SlotWindow>(1);
+  private_slots_ = std::vector<SlotWindow>(1);
   return OkStatus();
 }
 

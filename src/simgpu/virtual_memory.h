@@ -7,9 +7,10 @@
 // Layout:
 //   [kGlobalBase ...)     dynamically allocated global-memory buffers
 //   [kConstantBase ...)   per-module constant memory region
-//   [kSharedBase ...)     the shared/local memory of the block currently
-//                         executing (blocks run one at a time)
-//   [kPrivateBase ...)    per-work-item private stacks of the current block
+//   [kSharedBase ...)     the shared/local memory of the block each host
+//                         worker is executing, one window per worker slot
+//   [kPrivateBase ...)    per-work-item private stacks of those blocks,
+//                         likewise one window per worker slot
 //
 // Two accuracy modes, mirroring real allocator behavior:
 //   * unguarded (default): each allocation's backing store is padded to the
@@ -28,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "support/status.h"
@@ -87,8 +89,9 @@ class VirtualMemory {
   Status FreeGlobal(uint64_t va);
 
   /// (Re)map the fixed regions. Shared/private are remapped per block by
-  /// the launcher; constant is mapped once per loaded module. The
-  /// slot-less forms map worker slot 0 (the serial engine's window).
+  /// the launcher and always read as zero afterwards; constant is mapped
+  /// once per loaded module. The slot-less forms map worker slot 0 (the
+  /// serial engine's window).
   void MapConstant(size_t bytes);
   void MapShared(size_t bytes) { MapSharedSlot(0, bytes); }
   void MapPrivate(size_t bytes) { MapPrivateSlot(0, bytes); }
@@ -169,9 +172,29 @@ class VirtualMemory {
     bool freed = false;     // guarded tombstone (storage poisoned)
   };
 
+  /// One worker slot's shared or private window. Its backing store of
+  /// anonymous zero pages outlives a map: ResolveSlotted marks every page
+  /// it hands out dirty, and RemapSlot re-zeroes exactly those pages, so
+  /// every block starts on all-zero memory without clearing the window.
+  /// Every write into the store goes through Resolve, so the marks cover
+  /// every byte a block could have changed.
+  struct SlotWindow {
+    struct Unmap {
+      size_t bytes;  // value-initialized to 0 by unique_ptr
+      void operator()(std::byte* store) const;
+    };
+    std::unique_ptr<std::byte[], Unmap> store;
+    size_t span = 0;               // bytes addressable from the slot base
+    std::vector<uint64_t> dirty;   // one bit per kSlotPage bytes of store
+  };
+  static constexpr size_t kSlotPage = 4096;
+
+  static void RemapSlot(SlotWindow& w, size_t bytes);
   StatusOr<std::byte*> ResolveGlobal(uint64_t va, size_t len);
-  StatusOr<std::byte*> ResolveSlotted(uint64_t va, size_t len, uint64_t seg_base,
-                                      std::vector<Region>& slots, Segment seg);
+  StatusOr<std::byte*> ResolveSlotted(uint64_t va, size_t len,
+                                      uint64_t seg_base,
+                                      std::vector<SlotWindow>& slots,
+                                      Segment seg);
 
   bool guarded_ = false;
   FaultInjector* injector_ = nullptr;
@@ -188,8 +211,8 @@ class VirtualMemory {
   // Worker-slot shared/private windows; index = slot. Sized by
   // EnsureWorkerSlots before a parallel phase so workers touch only their
   // own element.
-  std::vector<Region> shared_slots_ = std::vector<Region>(1);
-  std::vector<Region> private_slots_ = std::vector<Region>(1);
+  std::vector<SlotWindow> shared_slots_ = std::vector<SlotWindow>(1);
+  std::vector<SlotWindow> private_slots_ = std::vector<SlotWindow>(1);
 };
 
 }  // namespace bridgecl::simgpu

@@ -76,6 +76,10 @@ TEST(SemaTest, SwizzleResolution) {
   EXPECT_TRUE(ResolveSwizzle("q", 4).empty());
   EXPECT_TRUE(ResolveSwizzle("z", 2).empty());
   EXPECT_TRUE(ResolveSwizzle("xyzwx", 4).empty());
+  // A selection must itself be a vector width: 5..7 and 9..15 are not.
+  EXPECT_EQ(ResolveSwizzle("s01234567", 8).size(), 8u);
+  EXPECT_TRUE(ResolveSwizzle("s01234", 8).empty());
+  EXPECT_TRUE(ResolveSwizzle("s0123456789", 16).empty());
 }
 
 TEST(SemaTest, StructLayout) {

@@ -10,8 +10,10 @@
 // simulated build cost, and honor the BRIDGECL_MODULE_CACHE kill switch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -294,6 +296,79 @@ TEST(ParallelExecTest, HazardScanFollowsLongPointerChains) {
   EXPECT_EQ(serial[0], 2.0f);
   EXPECT_EQ(serial[4095], 4097.0f);
   EXPECT_EQ(serial, RunReversePointerChain(4));
+}
+
+// ---------------------------------------------------------------------------
+// Slot re-zeroing: every block starts on all-zero shared and private
+// memory, whatever an earlier block on the same worker slot wrote. Block
+// 0 of each launch writes its static and dynamic __local arrays and
+// private memory past an address-taken scalar (15 pages); every other block
+// reads the same places without writing them. Launches alternate between
+// large and small blocks so the slot windows both shrink and grow.
+// ---------------------------------------------------------------------------
+std::vector<uint32_t> RunStaleMemoryProbe(int workers, DeviceStats* stats) {
+  ScopedWorkers sw(workers);
+  Device dev(TitanProfile());
+  DiagnosticEngine diags;
+  auto m = interp::Module::Compile(
+      "__kernel void stale(__global uint* out, __local uint* dyn, int ndyn) {"
+      "  __local uint tile[64];"
+      "  uint x = 0;"
+      "  uint* p = &x;"
+      "  int lid = get_local_id(0);"
+      "  int lsz = get_local_size(0);"
+      "  uint seen = 0;"
+      "  if (get_group_id(0) == 0) {"
+      "    for (int k = 1; k < 16; ++k) p[k * 1024] = 0xA5A5u + k;"
+      "    for (int k = lid; k < 64; k += lsz) tile[k] = 0xC0DEu + k;"
+      "    for (int k = lid; k < ndyn; k += lsz) dyn[k] = 0xD00Du + k;"
+      "  } else {"
+      "    for (int k = 1; k < 16; ++k) seen |= p[k * 1024];"
+      "    for (int k = lid; k < 64; k += lsz) seen |= tile[k];"
+      "    for (int k = lid; k < ndyn; k += lsz) seen |= dyn[k];"
+      "  }"
+      "  out[get_global_id(0)] = seen;"
+      "}",
+      lang::Dialect::kOpenCL, diags);
+  EXPECT_TRUE(m.ok()) << diags.ToString();
+  if (!m.ok() || !(*m)->LoadOn(dev).ok()) return {};
+  constexpr uint32_t kBlocks = 6;
+  std::vector<uint32_t> seen;
+  for (auto [block, ndyn] : {std::pair<uint32_t, int>{128, 2048},
+                             {16, 16},
+                             {64, 1024},
+                             {16, 64},
+                             {128, 2048}}) {
+    size_t bytes = kBlocks * block * sizeof(uint32_t);
+    auto va = dev.vm().AllocGlobal(bytes);
+    EXPECT_TRUE(va.ok());
+    if (!va.ok()) return {};
+    interp::LaunchConfig cfg;
+    cfg.grid = simgpu::Dim3(kBlocks);
+    cfg.block = simgpu::Dim3(block);
+    std::vector<interp::KernelArg> args = {
+        interp::KernelArg::Pointer(*va),
+        interp::KernelArg::LocalAlloc(ndyn * sizeof(uint32_t)),
+        interp::KernelArg::Value<int>(ndyn)};
+    auto r = interp::LaunchKernel(dev, **m, "stale", cfg, args);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<uint32_t> out(kBlocks * block);
+    std::memcpy(out.data(), *dev.vm().Resolve(*va, bytes), bytes);
+    seen.insert(seen.end(), out.begin(), out.end());
+    EXPECT_TRUE(dev.vm().FreeGlobal(*va).ok());
+  }
+  *stats = dev.stats();
+  return seen;
+}
+
+TEST(ParallelExecTest, EveryBlockStartsOnZeroedSlotMemory) {
+  DeviceStats stats1, stats4;
+  std::vector<uint32_t> serial = RunStaleMemoryProbe(1, &stats1);
+  ASSERT_EQ(serial.size(), 6u * (128 + 16 + 64 + 16 + 128));
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), 0u),
+            static_cast<ptrdiff_t>(serial.size()));
+  EXPECT_EQ(serial, RunStaleMemoryProbe(4, &stats4));
+  ExpectStatsEqual(stats1, stats4);
 }
 
 // ---------------------------------------------------------------------------

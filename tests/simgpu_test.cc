@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "simgpu/device.h"
 #include "simgpu/fiber.h"
 
@@ -54,6 +59,44 @@ TEST(VirtualMemoryTest, SegmentsDistinct) {
   EXPECT_TRUE(vm.Resolve(vm.constant_base(), 64).ok());
   EXPECT_FALSE(vm.Resolve(vm.constant_base() + 32, 64).ok());
   EXPECT_FALSE(vm.SegmentOf(4).ok());  // inside the null guard
+}
+
+TEST(VirtualMemoryTest, SlotRemapReadsZero) {
+  // A remap must hide everything the previous block wrote, whether the
+  // window shrinks, grows back within its store, or grows past it.
+  VirtualMemory vm(1 << 20);
+  vm.EnsureWorkerSlots(2);
+  auto fill = [&](uint64_t base, size_t bytes) {
+    std::byte* p = *vm.Resolve(base, bytes);
+    std::memset(p, 0x5A, bytes);
+  };
+  auto all_zero = [&](uint64_t base, size_t bytes) {
+    const std::byte* p = *vm.Resolve(base, bytes);
+    return std::all_of(p, p + bytes,
+                       [](std::byte b) { return b == std::byte{0}; });
+  };
+  for (int slot : {0, 1}) {
+    SCOPED_TRACE(slot);
+    uint64_t shared = vm.shared_base(slot), priv = vm.private_base(slot);
+    vm.MapSharedSlot(slot, 3 * 4096 + 100);
+    vm.MapPrivateSlot(slot, 64 * 1024);
+    fill(shared, 3 * 4096 + 100);
+    fill(priv + 4096 - 2, 4);  // straddles a page boundary
+    fill(priv + 60 * 1024, 4096);
+    vm.MapSharedSlot(slot, 100);
+    vm.MapPrivateSlot(slot, 8 * 1024);
+    EXPECT_TRUE(all_zero(shared, 100));
+    EXPECT_TRUE(all_zero(priv, 8 * 1024));
+    EXPECT_FALSE(vm.Resolve(shared + 100, 1).ok());
+    fill(shared, 100);
+    vm.MapSharedSlot(slot, 3 * 4096 + 100);
+    vm.MapPrivateSlot(slot, 64 * 1024);
+    EXPECT_TRUE(all_zero(shared, 3 * 4096 + 100));
+    EXPECT_TRUE(all_zero(priv, 64 * 1024));
+    fill(priv, 64 * 1024);
+    vm.MapPrivateSlot(slot, 256 * 1024);
+    EXPECT_TRUE(all_zero(priv, 256 * 1024));
+  }
 }
 
 TEST(DeviceTest, BankWordAccounting) {
@@ -149,6 +192,99 @@ TEST(FiberTest, EarlyExitTolerated) {
   });
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(reached, 4);
+}
+
+// Fiber stacks come from a per-thread pool and are reused, un-zeroed, by
+// every later Run on the thread.
+uintptr_t AddressOfTaskLocal(FiberGroup& g) {
+  uintptr_t addr = 0;
+  Status st = g.Run(1, [&](int) {
+    volatile int local = 0;
+    addr = reinterpret_cast<uintptr_t>(&local);
+    return OkStatus();
+  });
+  EXPECT_TRUE(st.ok());
+  return addr;
+}
+
+TEST(FiberTest, ConsecutiveRunsReuseStack) {
+  FiberGroup g(64 * 1024);
+  uintptr_t first = AddressOfTaskLocal(g);
+  EXPECT_EQ(AddressOfTaskLocal(g), first);
+  FiberGroup other(64 * 1024);  // the pool is per thread, not per group
+  EXPECT_EQ(AddressOfTaskLocal(other), first);
+}
+
+TEST(FiberTest, StackSizesInterleave) {
+  FiberGroup small(64 * 1024), large(256 * 1024);
+  for (int round = 0; round < 3; ++round) {
+    for (FiberGroup* g : {&small, &large}) {
+      const size_t size = g == &small ? 64 * 1024 : 256 * 1024;
+      std::vector<size_t> left(8), after(8);
+      std::vector<int> seen(8, -1);
+      Status st = g->Run(8, [&](int i) {
+        left[i] = g->StackLeft();
+        g->Barrier();
+        seen[i] = i;
+        after[i] = g->StackLeft();
+        return OkStatus();
+      });
+      ASSERT_TRUE(st.ok());
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(seen[i], i);
+        EXPECT_GT(left[i], size / 2);  // a shallow task on a fresh stack
+        EXPECT_LT(left[i], size);
+        EXPECT_EQ(after[i], left[i]);
+      }
+    }
+  }
+  EXPECT_EQ(small.StackLeft(), SIZE_MAX);  // outside a task
+}
+
+TEST(FiberTest, NestedRunInsideTask) {
+  FiberGroup outer(256 * 1024);
+  std::vector<int> sums(4, 0);
+  int after_barrier = 0;
+  Status st = outer.Run(4, [&](int i) {
+    FiberGroup inner(64 * 1024);
+    std::vector<int> vals(4, 0);
+    Status inner_st = inner.Run(4, [&](int j) {
+      vals[j] = i * 10 + j;
+      inner.Barrier();
+      sums[i] += vals[3 - j];
+      EXPECT_LT(inner.StackLeft(), 64u * 1024);
+      return OkStatus();
+    });
+    if (!inner_st.ok()) return inner_st;
+    EXPECT_TRUE(outer.InFiber());
+    outer.Barrier();
+    ++after_barrier;
+    return OkStatus();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(sums[i], 4 * i * 10 + 6);
+  EXPECT_EQ(after_barrier, 4);
+}
+
+size_t Recurse(size_t depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return frame[0];
+  return Recurse(depth - 1) + frame[0];
+}
+
+TEST(FiberDeathTest, HostOverrunHitsGuardPage) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        FiberGroup g(64 * 1024);
+        (void)g.Run(1, [](int) {
+          // ~512 MiB of frames: far past the 64 KiB stack.
+          return Recurse(size_t{1} << 20) == 7 ? InternalError("")
+                                                      : OkStatus();
+        });
+      },
+      "");
 }
 
 TEST(ProfileTest, TableTwoProfiles) {

@@ -45,15 +45,18 @@ if ! grep -q '^\*\.sgsnap' .gitignore 2>/dev/null; then
 fi
 
 # Bench reports are tracked only as the canonical baselines at the repo
-# root (tools/check_bench_regression.sh); stray reports from local runs
+# root (tools/check_bench_regression.sh) and the recorded perfbench
+# before/after runs (BENCH_perfbench.json); stray reports from local runs
 # must stay untracked.
 stray=$(git ls-files 'BENCH_*.json' '*/BENCH_*.json' |
-  grep -v -e '^BENCH_overlap\.json$' -e '^BENCH_parallel_exec\.json$' |
+  grep -v -e '^BENCH_overlap\.json$' -e '^BENCH_parallel_exec\.json$' \
+    -e '^BENCH_perfbench\.json$' |
   head -20)
 if [ -n "$stray" ]; then
   echo "repo_hygiene: FAIL — non-baseline bench reports are tracked:"
   echo "$stray"
-  echo "(only /BENCH_overlap.json and /BENCH_parallel_exec.json belong in git)"
+  echo "(only the root BENCH_overlap.json, BENCH_parallel_exec.json and"
+  echo " BENCH_perfbench.json belong in git)"
   exit 1
 fi
 
